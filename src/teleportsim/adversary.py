@@ -31,6 +31,7 @@ from .protocol import (
     InFlight,
     InputSpec,
     Ledger,
+    ProtocolError,
     RunReport,
     run_single_channel_aqt,
     run_two_channel_aqt,
@@ -208,7 +209,8 @@ def message_interception_report(
         run_index=run_index,
         message_interceptor=observer,
     )
-    assert report is None and observer.captured is not None
+    if report is not None or observer.captured is None:
+        raise ProtocolError(f"run {run_index}: the message interceptor did not capture the qubit in flight")
     return LeakageReport(
         eve_observation=None,
         disturbance=1.0,

@@ -9,8 +9,10 @@ JSON are rendered to 17 significant digits, enough to round-trip a double.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +31,7 @@ from .protocol import (
     Approach,
     InputSpec,
     Ledger,
+    ProtocolError,
     RunReport,
     Variant,
     run_op_baseline,
@@ -101,7 +104,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                 report = run_two_channel_aqt(
                     config.input_spec, config.channel, _per_run_rng(config.seed, i), ledger, i
                 )
-                assert report is not None
+                if report is None:
+                    raise ProtocolError(f"run {i}: dual run without an interceptor returned no report")
                 reports.append(report)
     else:
         approach = (
@@ -288,6 +292,8 @@ def _parse_input(parser: argparse.ArgumentParser, text: str) -> InputSpec:
         a_re, a_im, b_re, b_im = (float(p) for p in parts)
     except ValueError:
         parser.error(f"--input expects four comma-separated floats, got {text!r}")
+    if not all(map(math.isfinite, (a_re, a_im, b_re, b_im))):
+        parser.error(f"--input amplitudes must be finite, got {text!r}")
     alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
     nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(nrm - 1.0) > 1e-6:
@@ -331,13 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return run_verify()
     config = parse_config(parser, args)
-    outcome = run_experiment(config)
-    output = render_json(config, outcome) if config.fmt == "json" else render_text(config, outcome)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(output)
-    else:
-        print(output, end="")
+    try:
+        # Opened before the run so that an unwritable path fails fast.
+        sink = open(config.out, "w") if config.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot write --out {config.out}: {exc.strerror}")
+    with sink as fh:
+        outcome = run_experiment(config)
+        fh.write(render_json(config, outcome) if config.fmt == "json" else render_text(config, outcome))
     return 0 if outcome.all_fidelities_ok else 1
 
 

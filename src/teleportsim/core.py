@@ -6,10 +6,23 @@ index, so a ket string read left to right follows the label order.
 
 State equality throughout the package means fidelity, which ignores global
 phase; raw amplitude signs only matter where a test pins them explicitly.
+
+Kernel contract. Each primitive works on the flat amplitude vector or on its
+(2**k, 2, 2**(n-k-1)) view, where qubit k is the middle axis. X, Z, every
+PauliOp and CNOT only permute amplitudes and flip signs, so they are one
+gather with an index permutation and one multiply by a +/-1 sign array, both
+cached per register size and axis. H is one GEMM: the register reshaped so
+qubit k is the last axis, times H.T, through np.dot, which is the zgemm call
+np.tensordot makes. Measurement, dropping and extending slice or take outer
+products of the view. On one machine every primitive returns amplitudes
+equal under np.array_equal to the tensordot/moveaxis/kron formulation
+(tests/test_kernels.py holds that reference), so seeded reports stay byte
+for byte the same; only signed zeros may differ.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +37,6 @@ PROB_CLAMP = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I = np.eye(2, dtype=complex)
 
 
 class BellLabel(enum.Enum):
@@ -51,13 +61,6 @@ class PauliOp(enum.Enum):
     XZ = "XZ"
 
 
-_PAULI_MATRICES = {
-    PauliOp.I: _I,
-    PauliOp.Z: _Z,
-    PauliOp.X: _X,
-    PauliOp.XZ: _X @ _Z,
-}
-
 # Amplitudes over |00>, |01>, |10>, |11| with the first pair member as the
 # more significant bit.
 BELL_AMPLITUDES: dict[BellLabel, np.ndarray] = {
@@ -75,11 +78,7 @@ class GateKind(enum.Enum):
     CNOT = "CNOT"
 
 
-_SINGLE_QUBIT_MATRICES = {
-    GateKind.HADAMARD: _H,
-    GateKind.PAULI_X: _X,
-    GateKind.PAULI_Z: _Z,
-}
+_GATE_PAULIS = {GateKind.PAULI_X: PauliOp.X, GateKind.PAULI_Z: PauliOp.Z}
 
 
 @dataclass(frozen=True)
@@ -171,36 +170,71 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] =
         raise ValueError(f"register capped at {MAX_QUBITS} qubits")
     vec = np.asarray(amplitudes, dtype=complex)
     nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
         raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
-    return StateVector(state.labels + (label,), np.kron(state.amplitudes, vec / nrm))
+    return StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec / nrm).reshape(-1))
+
+
+def _readonly(a: np.ndarray | None) -> np.ndarray | None:
+    # Cached kernel arrays are handed to every caller, so none may write to them.
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+# n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
+@functools.lru_cache(maxsize=None)
+def _pauli_kernel(n: int, k: int, op: PauliOp) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(perm, sign) with amplitudes[perm] * sign equal to op on qubit k; None skips a step."""
+    index = np.arange(2**n)
+    bit = (index >> (n - 1 - k)) & 1
+    perm = index ^ (1 << (n - 1 - k)) if op in (PauliOp.X, PauliOp.XZ) else None
+    sign = None
+    if op is PauliOp.Z:
+        sign = (1.0 - 2.0 * bit).astype(complex)
+    elif op is PauliOp.XZ:
+        sign = (2.0 * bit - 1.0).astype(complex)
+    return _readonly(perm), _readonly(sign)
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    """Index permutation that flips the target bit wherever the control bit is set."""
+    index = np.arange(2**n)
+    return _readonly(index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target)))
+
+
+def _permuted(state: StateVector, perm: np.ndarray | None, sign: np.ndarray | None) -> StateVector:
+    out = state.amplitudes if perm is None else state.amplitudes[perm]
+    if sign is not None:
+        out = out * sign
+    return StateVector(state.labels, out)
+
+
+def _hadamard(state: StateVector, k: int) -> StateVector:
+    lead, trail = 2**k, 2 ** (state.n_qubits - 1 - k)
+    pairs = state.amplitudes.reshape(lead, 2, trail).transpose(0, 2, 1).reshape(-1, 2)
+    out = np.dot(pairs, _H.T).reshape(lead, trail, 2).transpose(0, 2, 1)
+    return StateVector(state.labels, out.reshape(-1))
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    arr = state.tensor()
     if gate.kind is GateKind.CNOT:
         c = state.axis(gate.targets[0])
         t = state.axis(gate.targets[1])
-        out = arr.copy()
-        i10: list[object] = [slice(None)] * state.n_qubits
-        i11: list[object] = [slice(None)] * state.n_qubits
-        i10[c], i10[t] = 1, 0
-        i11[c], i11[t] = 1, 1
-        out[tuple(i10)] = arr[tuple(i11)]
-        out[tuple(i11)] = arr[tuple(i10)]
-    else:
-        k = state.axis(gate.targets[0])
-        m = _SINGLE_QUBIT_MATRICES[gate.kind]
-        out = np.moveaxis(np.tensordot(arr, m, axes=([k], [1])), -1, k)
-    return StateVector(state.labels, out.reshape(-1))
+        return _permuted(state, _cnot_perm(state.n_qubits, c, t), None)
+    k = state.axis(gate.targets[0])
+    if gate.kind is GateKind.HADAMARD:
+        return _hadamard(state, k)
+    return _permuted(state, *_pauli_kernel(state.n_qubits, k, _GATE_PAULIS[gate.kind]))
 
 
 def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
-    """Apply a correction operator to one qubit (XZ applies Z, then X)."""
-    k = state.axis(target)
-    arr = state.tensor()
-    out = np.moveaxis(np.tensordot(arr, _PAULI_MATRICES[op], axes=([k], [1])), -1, k)
-    return StateVector(state.labels, out.reshape(-1))
+    """Apply a correction operator to one qubit (XZ applies Z, then X).
+
+    The identity returns a register that shares the input's amplitudes.
+    """
+    return _permuted(state, *_pauli_kernel(state.n_qubits, state.axis(target), op))
 
 
 def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> StateVector:
@@ -225,6 +259,11 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
     return out
 
 
+def _split(state: StateVector, k: int) -> np.ndarray:
+    """The (2**k, 2, 2**(n-k-1)) view of the amplitudes; qubit k is the middle axis."""
+    return state.amplitudes.reshape(2**k, 2, -1)
+
+
 def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Projectively measure one qubit in the computational basis.
 
@@ -232,15 +271,12 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     falls below P(1), with P clamped to {0, 1} inside PROB_CLAMP so repeated
     measurements of a collapsed qubit are deterministic.
     """
-    k = state.axis(target)
-    arr = state.tensor()
-    p1 = float(np.sum(np.abs(arr.take(1, axis=k)) ** 2))
+    view = _split(state, state.axis(target))
+    p1 = float((np.abs(view[:, 1]) ** 2).sum())
     p1_eff = 1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1)
     outcome = 1 if rng.random() < p1_eff else 0
-    out = arr.copy()
-    idx: list[object] = [slice(None)] * state.n_qubits
-    idx[k] = 1 - outcome
-    out[tuple(idx)] = 0.0
+    out = view.copy()
+    out[:, 1 - outcome] = 0.0
     nrm = np.linalg.norm(out)
     if nrm < NORM_TOL:
         raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
@@ -256,19 +292,18 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
     if state.n_qubits == 1:
         raise ValueError("cannot drop the last qubit of a register")
     k = state.axis(label)
-    arr = state.tensor()
+    view = _split(state, k)
+    labels = tuple(l for l in state.labels if l != label)
     # Fast path: qubit already collapsed onto a basis state.
     for bit in (0, 1):
-        if np.sum(np.abs(arr.take(1 - bit, axis=k)) ** 2) < NORM_TOL**2:
-            rest = arr.take(bit, axis=k).reshape(-1)
-            labels = tuple(l for l in state.labels if l != label)
+        if (np.abs(view[:, 1 - bit]) ** 2).sum() < NORM_TOL**2:
+            rest = view[:, bit].reshape(-1)
             return StateVector(labels, rest / np.linalg.norm(rest))
     rho = reduced_density(state, (label,)).matrix
     evals, evecs = np.linalg.eigh(rho)
     if evals[-1] < 1.0 - 1e-9:
         raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
-    rest = np.tensordot(arr, evecs[:, -1].conj(), axes=([k], [0])).reshape(-1)
-    labels = tuple(l for l in state.labels if l != label)
+    rest = np.tensordot(state.tensor(), evecs[:, -1].conj(), axes=([k], [0])).reshape(-1)
     return StateVector(labels, rest / np.linalg.norm(rest))
 
 

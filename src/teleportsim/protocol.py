@@ -193,7 +193,7 @@ class InputSpec:
     def __post_init__(self) -> None:
         if not self.random:
             nrm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-            if abs(nrm2 - 1.0) > 1e-9:
+            if not abs(nrm2 - 1.0) <= 1e-9:  # also rejects NaN and inf
                 raise ValueError(f"input amplitudes not normalized: |a|^2+|b|^2 = {nrm2:.3e}")
 
     @classmethod
@@ -269,6 +269,17 @@ def _deliver_input(
     return state, custody
 
 
+def _destructive_readout(state: StateVector, custody: Custody, rng: np.random.Generator) -> StateVector:
+    """Measure A, then C, and discard both: the measured pair is consumed."""
+    _, state = measure_qubit(state, "A", rng)
+    _, state = measure_qubit(state, "C", rng)
+    state = drop_qubit(state, "A")
+    state = drop_qubit(state, "C")
+    custody.drop("A")
+    custody.drop("C")
+    return state
+
+
 def run_op_baseline(
     input_spec: InputSpec,
     channel: BellLabel,
@@ -289,13 +300,7 @@ def run_op_baseline(
 
     custody.require(Party.ALICE, ("A", "C"))
     result, state = qnd_bell_measure(state, "A", "C", rng)
-    # Destructive readout: the measured pair is consumed.
-    _, state = measure_qubit(state, "A", rng)
-    _, state = measure_qubit(state, "C", rng)
-    state = drop_qubit(state, "A")
-    state = drop_qubit(state, "C")
-    custody.drop("A")
-    custody.drop("C")
+    state = _destructive_readout(state, custody, rng)
     ledger.classical_bits_transmitted += 2
 
     correction = correction_for(channel, result)
@@ -431,12 +436,7 @@ def run_two_channel_aqt(
 
     custody.require(Party.ALICE, ("A", "C"))
     result, state = qnd_bell_measure(state, "A", "C", rng)
-    _, state = measure_qubit(state, "A", rng)
-    _, state = measure_qubit(state, "C", rng)
-    state = drop_qubit(state, "A")
-    state = drop_qubit(state, "C")
-    custody.drop("A")
-    custody.drop("C")
+    state = _destructive_readout(state, custody, rng)
 
     message = label_to_message(result)
     state = apply_pauli(state, encode_superdense(message), "MA")

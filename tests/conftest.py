@@ -4,7 +4,15 @@ tests/test_acceptance.py reports one verdict per headline claim through
 record(). Whenever those tests were part of the collected run, the terminal
 summary ends with one PASS or FAIL line per claim; a claim whose test never
 reported (crashed early, deselected) prints as FAIL.
+
+Hypothesis runs derandomized with no example database, so a property test
+draws the same examples on every run and tier-1 stays deterministic.
 """
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None, max_examples=25)
+settings.load_profile("deterministic")
 
 CRITERIA = (
     "corrections: every channel/result cell teleports 25 random inputs exactly",

@@ -5,6 +5,7 @@ leakage reports for the pair and message-qubit attack surfaces.
 import numpy as np
 import pytest
 
+from teleportsim import adversary
 from teleportsim.adversary import (
     MAXIMALLY_MIXED,
     LeakageReport,
@@ -34,7 +35,9 @@ from teleportsim.protocol import (
     InputSpec,
     Ledger,
     Party,
+    ProtocolError,
     run_single_channel_aqt,
+    run_two_channel_aqt,
 )
 
 TOL = 1e-12
@@ -175,6 +178,20 @@ class TestMessageAttack:
         # The stolen qubit still counts as transmitted.
         assert ledger.qubits_transmitted == 1
         assert ledger.epr_pairs_created == 2
+
+    def test_completed_run_under_interception_raises(self, monkeypatch):
+        # An interceptor that never fires lets the run finish with a report.
+        def run_without_interceptor(*args, message_interceptor, **kwargs):
+            return run_two_channel_aqt(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, "run_two_channel_aqt", run_without_interceptor)
+        with pytest.raises(ProtocolError, match="did not capture"):
+            message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(75))
+
+    def test_aborted_run_without_capture_raises(self, monkeypatch):
+        monkeypatch.setattr(adversary, "run_two_channel_aqt", lambda *args, **kwargs: None)
+        with pytest.raises(ProtocolError, match="did not capture"):
+            message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(76))
 
     def test_message_observer_capture(self):
         observer = MessageObserver()

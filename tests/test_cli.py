@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from teleportsim import cli
 from teleportsim.cli import (
     EveMode,
     ExperimentConfig,
@@ -18,7 +19,7 @@ from teleportsim.cli import (
     run_experiment,
 )
 from teleportsim.core import BellLabel
-from teleportsim.protocol import InputSpec, Variant
+from teleportsim.protocol import InputSpec, ProtocolError, Variant
 
 
 def parse_args(argv):
@@ -52,6 +53,7 @@ class TestParsing:
             ["run", "--input", "1,0,0"],
             ["run", "--input", "a,b,c,d"],
             ["run", "--input", "1,0,1,0"],
+            ["run", "--input", "1,0,0,-inf"],
             ["run", "--variant", "op", "--eve", "pair"],
             ["run", "--variant", "single-i", "--eve", "qubit"],
             ["run", "--variant", "dual", "--eve", "pair"],
@@ -141,6 +143,34 @@ class TestRunCommand:
         assert capsys.readouterr().out == ""
         payload = json.loads(target.read_text())
         assert payload["config"]["variant"] == "op"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_two_with_one_message(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--input", f"{value},0,0,0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if not l.startswith("usage:")]
+        assert errors == [f"teleportsim: error: --input amplitudes must be finite, got '{value},0,0,0'"]
+
+    def test_unwritable_out_exits_two_without_traceback(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--out", str(target)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [l for l in captured.err.splitlines() if not l.startswith("usage:")]
+        assert errors == [f"teleportsim: error: cannot write --out {target}: No such file or directory"]
+        assert not target.exists()
+
+    def test_dual_run_without_report_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_two_channel_aqt", lambda *args, **kwargs: None)
+        config = parse_args(["run", "--variant", "dual", "--runs", "2"])
+        with pytest.raises(ProtocolError, match="returned no report"):
+            run_experiment(config)
 
     def test_eve_pair_report(self, capsys):
         code = main(

@@ -62,6 +62,11 @@ class TestRegisters:
         with pytest.raises(ValueError, match="not normalized"):
             extend(new_register(("A",)), "B", (1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (1.0, complex(0.0, -np.inf))])
+    def test_extend_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            extend(new_register(("A",)), "B", bad)
+
     def test_extend_rejects_existing_label(self):
         with pytest.raises(ValueError, match="already"):
             extend(new_register(("A",)), "A")

@@ -31,6 +31,15 @@ def seeded(*words):
     return np.random.default_rng(np.random.SeedSequence(list(words)))
 
 
+class TestInputSpec:
+    @pytest.mark.parametrize(
+        "alpha, beta", [(np.nan, 0.0), (np.inf, 0.0), (0.0, complex(np.nan, 1.0)), (1.0, -np.inf)]
+    )
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            InputSpec.explicit(alpha, beta)
+
+
 class TestOpBaseline:
     @pytest.mark.parametrize("channel", ALL_CHANNELS)
     def test_perfect_fidelity_on_every_channel(self, channel):
