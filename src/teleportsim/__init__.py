@@ -48,7 +48,6 @@ from .protocol import (
     ProtocolError,
     RunReport,
     Variant,
-    custody_transfer,
     run_op_baseline,
     run_single_channel_aqt,
     run_two_channel_aqt,

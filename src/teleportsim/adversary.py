@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BELL_ORDER, TwoBitMessage, encode_superdense, qnd_bell_measure, syndrome_probabilities
+from .bell import TwoBitMessage, encode_superdense, qnd_bell_measure, syndrome_probabilities
 from .core import (
     BellLabel,
     DensityMatrix,
@@ -216,8 +216,3 @@ def message_interception_report(
         disturbance=1.0,
         distinguishability=trace_distance(observer.captured, MAXIMALLY_MIXED),
     )
-
-
-def uniform_label_distribution() -> dict[BellLabel, float]:
-    """The reference distribution Eve's labels follow: 1/4 per Bell state."""
-    return {label: 0.25 for label in BELL_ORDER}

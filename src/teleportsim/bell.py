@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BELL_AMPLITUDES,
     BellLabel,
     Gate,
     PauliOp,
@@ -56,12 +55,6 @@ class TwoBitMessage:
         if index not in range(4):
             raise ValueError(f"message index out of range: {index}")
         return cls(index >> 1, index & 1)
-
-    @classmethod
-    def from_string(cls, text: str) -> "TwoBitMessage":
-        if len(text) != 2 or any(c not in "01" for c in text):
-            raise ValueError(f"malformed message {text!r}")
-        return cls(int(text[0]), int(text[1]))
 
     def __str__(self) -> str:
         return f"{self.hi}{self.lo}"
@@ -307,8 +300,3 @@ def label_to_message(label: BellLabel) -> TwoBitMessage:
 
 def message_to_label(msg: TwoBitMessage) -> BellLabel:
     return BELL_ORDER[msg.index]
-
-
-def bell_state_vector(label: BellLabel) -> np.ndarray:
-    """Copy of the exact 4-amplitude vector for a Bell state."""
-    return BELL_AMPLITUDES[label].copy()

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import verification
 from .adversary import (
     LeakageReport,
     PairObserver,
     message_interception_report,
     pair_interception_analysis,
 )
-from .bell import BELL_ORDER, SUPERDENSE_DECODING, SUPERDENSE_ENCODING, SYNDROME_TO_BELL, TwoBitMessage
+from .bell import BELL_ORDER, SUPERDENSE_DECODING, SUPERDENSE_ENCODING, SYNDROME_TO_BELL
 from .bell import CORRECTIONS, RESTORES, label_to_message
 from .core import BellLabel
 from .protocol import (
@@ -38,7 +39,6 @@ from .protocol import (
     run_single_channel_aqt,
     run_two_channel_aqt,
 )
-from .verification import run_checks
 
 FIDELITY_OK = 1e-9  # report-level threshold, looser than the test tolerances
 
@@ -229,28 +229,8 @@ def render_tables() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_reproducibility() -> tuple[bool, str]:
-    for variant, eve in ((Variant.SINGLE_CHANNEL_RESTORE, EveMode.NONE), (Variant.TWO_CHANNEL, EveMode.NONE)):
-        config = ExperimentConfig(
-            variant=variant,
-            runs=3,
-            channel=BellLabel.PSI_MINUS,
-            input_spec=InputSpec.haar(),
-            seed=1,
-            eve=eve,
-            fmt="json",
-            out=None,
-        )
-        first = render_json(config, run_experiment(config))
-        second = render_json(config, run_experiment(config))
-        if first != second:
-            return False, f"{variant.value} report not byte-identical across replays"
-    return True, "replayed reports are byte-identical"
-
-
 def run_verify() -> int:
-    results = run_checks()
-    results.append(("cli/reproducibility", *_check_reproducibility()))
+    results = verification.run_checks()
     failed = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -177,7 +177,8 @@ def single_experiment(
         vec = np.kron(chan_vec, chi)  # (A, B, C)
         label, vec = _qnd_measure(vec, 0, 2, 3, rng)  # sender side
         label2, vec = _qnd_measure(vec, 0, 2, 3, rng)  # receiver side
-        assert label2 is label
+        if label2 is not label:
+            raise RuntimeError(f"repeat QND read {label2.value} after {label.value}")
         vec = _lift(_PAULIS[_CORRECTIONS[(chan_label, label)]], 1, 3) @ vec
         if approach is Approach.RESTORE_CHANNEL:
             vec = _lift(_PAULIS[_RESTORES[(label, initial_channel)]], 0, 3) @ vec
@@ -188,7 +189,8 @@ def single_experiment(
         # Contract the delivered output against the input it must equal.
         rest = np.tensordot(vec.reshape(2, 2, 2), chi.conj(), axes=([1], [0])).reshape(-1)
         nrm = np.linalg.norm(rest)
-        assert abs(nrm - 1.0) < 1e-9
+        if not abs(nrm - 1.0) < 1e-9:
+            raise RuntimeError(f"delivered output differs from the input: overlap norm {nrm}")
         chan_vec = rest / nrm
     return results
 
@@ -211,7 +213,8 @@ def dual_run(
     vec = _lift(_HMAT, 1, 3) @ vec
     hi, vec = _measure(vec, 1, 3, rng)
     lo, vec = _measure(vec, 2, 3, rng)
-    assert (hi, lo) == _LABEL_BITS[label]
+    if (hi, lo) != _LABEL_BITS[label]:
+        raise RuntimeError(f"superdense decode read {hi}{lo} for {label.value}")
     vec = _slice_out(vec, 2, 3, lo)
     vec = _slice_out(vec, 1, 2, hi)
     vec = _lift(_PAULIS[_CORRECTIONS[(channel, label)]], 0, 1) @ vec

@@ -19,7 +19,7 @@ order, so seeded runs replay exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -92,13 +92,6 @@ class Ledger:
     qubits_transmitted: int = 0
     classical_bits_transmitted: int = 0
 
-    def copy(self) -> "Ledger":
-        return Ledger(
-            self.epr_pairs_created,
-            self.qubits_transmitted,
-            self.classical_bits_transmitted,
-        )
-
     def delta(self, since: "Ledger") -> "Ledger":
         return Ledger(
             self.epr_pairs_created - since.epr_pairs_created,
@@ -170,16 +163,6 @@ class Custody:
 
     def as_dict(self) -> dict[str, Party | InFlight]:
         return dict(self._holders)
-
-
-def custody_transfer(
-    custody: Custody, labels: Iterable[str], sender: Party, dest: Party, ledger: Ledger
-) -> Custody:
-    """One-shot send plus deliver; counts each label as one transmission."""
-    labels = tuple(labels)
-    custody.send(labels, sender, dest, ledger)
-    custody.deliver(labels, dest)
-    return custody
 
 
 @dataclass(frozen=True)
@@ -289,7 +272,7 @@ def run_op_baseline(
 ) -> RunReport:
     """One run of the baseline protocol: destroy the pair, send two bits."""
     ledger = ledger if ledger is not None else Ledger()
-    before = ledger.copy()
+    before = replace(ledger)
 
     state = prepare_bell(new_register(("A", "B")), "A", "B", channel)
     ledger.epr_pairs_created += 1
@@ -338,7 +321,7 @@ def run_single_channel_aqt(
     new channel half B. No classical bits are ever sent.
     """
     ledger = ledger if ledger is not None else Ledger()
-    before = ledger.copy()
+    before = replace(ledger)
     variant = _APPROACH_VARIANT[approach]
 
     state = prepare_bell(new_register(("A", "B")), "A", "B", initial_channel)
@@ -401,7 +384,7 @@ def run_single_channel_aqt(
         state = drop_qubit(state, "out")
         custody.drop("out")
         channel = channel_after
-        before = ledger.copy()
+        before = replace(ledger)
     return reports
 
 
@@ -421,7 +404,7 @@ def run_two_channel_aqt(
     destructive, so the run aborts).
     """
     ledger = ledger if ledger is not None else Ledger()
-    before = ledger.copy()
+    before = replace(ledger)
 
     state = new_register(("A", "B", "MA", "MB"))
     state = prepare_bell(state, "A", "B", teleport_channel)

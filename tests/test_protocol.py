@@ -5,7 +5,7 @@ plus custody bookkeeping and the resource ledger.
 import numpy as np
 import pytest
 
-from teleportsim.bell import correction_for, label_to_message
+from teleportsim.bell import correction_for
 from teleportsim.core import BELL_AMPLITUDES, BellLabel, PauliOp
 from teleportsim.protocol import (
     Approach,
@@ -17,7 +17,6 @@ from teleportsim.protocol import (
     ProtocolError,
     RunReport,
     Variant,
-    custody_transfer,
     run_op_baseline,
     run_single_channel_aqt,
     run_two_channel_aqt,
@@ -29,15 +28,6 @@ ALL_CHANNELS = tuple(BellLabel)
 
 def seeded(*words):
     return np.random.default_rng(np.random.SeedSequence(list(words)))
-
-
-class TestInputSpec:
-    @pytest.mark.parametrize(
-        "alpha, beta", [(np.nan, 0.0), (np.inf, 0.0), (0.0, complex(np.nan, 1.0)), (1.0, -np.inf)]
-    )
-    def test_non_finite_amplitudes_rejected(self, alpha, beta):
-        with pytest.raises(ValueError, match="not normalized"):
-            InputSpec.explicit(alpha, beta)
 
 
 class TestOpBaseline:
@@ -116,18 +106,6 @@ class TestSingleChannel:
         )
         for r in reports:
             assert r.correction is correction_for(r.channel_before, r.alice_result)
-
-    def test_approaches_agree_under_identical_seeds(self):
-        inputs = [InputSpec.explicit(0.6, 0.8j)] * 10
-        restore = run_single_channel_aqt(
-            inputs, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, seeded(48)
-        )
-        track = run_single_channel_aqt(
-            inputs, Approach.TRACK_CHANNEL, BellLabel.PSI_MINUS, seeded(48)
-        )
-        for a, b in zip(restore, track):
-            assert a.alice_result is b.alice_result
-            assert abs(a.fidelity - b.fidelity) < TOL
 
     def test_snapshot_layout_and_variants(self):
         reports = run_single_channel_aqt(
@@ -254,14 +232,6 @@ class TestCustody:
         assert custody.holder("A") is Party.BOB
         assert ledger.qubits_transmitted == 1
 
-    def test_transfer_counts_each_label(self):
-        custody = Custody({"A": Party.ALICE, "C": Party.ALICE})
-        ledger = Ledger()
-        custody_transfer(custody, ("A", "C"), Party.ALICE, Party.BOB, ledger)
-        assert ledger.qubits_transmitted == 2
-        assert custody.holder("A") is Party.BOB
-        assert custody.holder("C") is Party.BOB
-
     def test_require_flags_wrong_holder(self):
         custody = Custody({"A": Party.BOB})
         with pytest.raises(ProtocolError, match="does not hold"):
@@ -284,6 +254,13 @@ class TestInputSpec:
     def test_explicit_requires_normalization(self):
         with pytest.raises(ValueError, match="not normalized"):
             InputSpec.explicit(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(np.nan, 0.0), (np.inf, 0.0), (0.0, complex(np.nan, 1.0)), (1.0, -np.inf)]
+    )
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            InputSpec.explicit(alpha, beta)
 
     def test_explicit_resolve_returns_amplitudes(self):
         alpha, beta = InputSpec.explicit(0.6, 0.8j).resolve(seeded(58))
