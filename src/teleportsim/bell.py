@@ -8,6 +8,7 @@ suite re-derives each one from an independent route.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,15 +210,26 @@ def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> S
     the Hadamard-rotated frame; the trailing Hadamards rotate the pair back so
     it ends in the same Bell state the syndrome names.
     """
-    out = apply_gate(state, Gate.cnot(q1, d))
-    out = apply_gate(out, Gate.cnot(q2, d))
-    out = apply_gate(out, Gate.h(q1))
-    out = apply_gate(out, Gate.h(q2))
-    out = apply_gate(out, Gate.cnot(q1, e))
-    out = apply_gate(out, Gate.cnot(q2, e))
-    out = apply_gate(out, Gate.h(q1))
-    out = apply_gate(out, Gate.h(q2))
+    out = state
+    for gate in _qnd_gates(q1, q2, d, e):
+        out = apply_gate(out, gate)
     return out
+
+
+# Callers choose the labels, so the cache is bounded; the protocols use a handful.
+@functools.lru_cache(maxsize=256)
+def _qnd_gates(q1: str, q2: str, d: str, e: str) -> tuple[Gate, ...]:
+    """The eight gates of the QND circuit; they depend only on the four labels."""
+    return (
+        Gate.cnot(q1, d),
+        Gate.cnot(q2, d),
+        Gate.h(q1),
+        Gate.h(q2),
+        Gate.cnot(q1, e),
+        Gate.cnot(q2, e),
+        Gate.h(q1),
+        Gate.h(q2),
+    )
 
 
 def qnd_bell_measure(

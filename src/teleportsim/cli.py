@@ -5,12 +5,21 @@ Independent runs (baseline and two-channel variants) draw from a generator
 seeded with (seed, run_index); a single-channel experiment is one stateful
 sequence, so it consumes a single stream seeded with (seed,). Amplitudes in
 JSON are rendered to 17 significant digits, enough to round-trip a double.
+
+A JSON report is exactly json.dumps(payload, indent=2, sort_keys=True) of the
+payload {"all_fidelities_ok", "config", "eve" (with --eve), "ledger", "runs"}.
+Run records, the bulk of a report, are written from one fixed template rather
+than through json.dumps, whose indenting encoder is pure Python.
+
+The parser is built once per process; parsing never mutates it, so repeated
+main() calls in one process behave like separate invocations.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import enum
+import functools
 import json
 import math
 import sys
@@ -41,6 +50,10 @@ from .protocol import (
 )
 
 FIDELITY_OK = 1e-9  # report-level threshold, looser than the test tolerances
+
+# Every run's report stays in memory until rendering (about 5 KB each), so
+# --runs is capped until reports are streamed.
+MAX_RUNS = 100_000
 
 
 class EveMode(enum.Enum):
@@ -146,26 +159,67 @@ def _config_dict(config: ExperimentConfig) -> dict[str, object]:
     }
 
 
-def _run_dict(report: RunReport) -> dict[str, object]:
-    out = report.as_dict()
-    a, b = report.input_amplitudes
-    out["input_amplitudes"] = _amp_pair(a, b)
-    return out
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _json_run(r: RunReport) -> str:
+    """One element of the report's "runs" list, laid out as json.dumps(indent=2,
+    sort_keys=True) writes it two levels down."""
+    a, b = r.input_amplitudes
+    delta = r.ledger_delta
+    after = "null" if r.channel_after is None else _json_str(r.channel_after.value)
+    return f"""\
+    {{
+      "alice_result": {_json_str(r.alice_result.value)},
+      "channel_after": {after},
+      "channel_before": {_json_str(r.channel_before.value)},
+      "correction": {_json_str(r.correction.value)},
+      "fidelity": {_json_float(r.fidelity)},
+      "input_amplitudes": [
+        [
+          {_json_str(_fmt(a.real))},
+          {_json_str(_fmt(a.imag))}
+        ],
+        [
+          {_json_str(_fmt(b.real))},
+          {_json_str(_fmt(b.imag))}
+        ]
+      ],
+      "ledger_delta": {{
+        "classical_bits_transmitted": {delta.classical_bits_transmitted},
+        "epr_pairs_created": {delta.epr_pairs_created},
+        "qubits_transmitted": {delta.qubits_transmitted}
+      }},
+      "run_index": {r.run_index},
+      "variant": {_json_str(r.variant.value)}
+    }}"""
+
+
+def _json_field(value: object) -> str:
+    """A value as json.dumps(indent=2, sort_keys=True) writes it one level down."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def render_json(config: ExperimentConfig, outcome: ExperimentOutcome) -> str:
-    payload: dict[str, object] = {
-        "config": _config_dict(config),
-        "runs": [_run_dict(r) for r in outcome.reports],
-        "ledger": outcome.ledger.as_dict(),
-        "all_fidelities_ok": outcome.all_fidelities_ok,
-    }
+    parts = [
+        '{\n  "all_fidelities_ok": ', "true" if outcome.all_fidelities_ok else "false",
+        ',\n  "config": ', _json_field(_config_dict(config)),
+    ]
     if outcome.eve_reports is not None:
-        payload["eve"] = {
-            "mode": config.eve.value,
-            "runs": [leak.as_dict() for leak in outcome.eve_reports],
-        }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        eve = {"mode": config.eve.value, "runs": [leak.as_dict() for leak in outcome.eve_reports]}
+        parts += [',\n  "eve": ', _json_field(eve)]
+    parts += [',\n  "ledger": ', _json_field(outcome.ledger.as_dict()), ',\n  "runs": ']
+    if outcome.reports:
+        parts += ["[\n", ",\n".join(map(_json_run, outcome.reports)), "\n  ]"]
+    else:
+        parts.append("[]")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def render_text(config: ExperimentConfig, outcome: ExperimentOutcome) -> str:
@@ -240,6 +294,7 @@ def run_verify() -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teleportsim",
@@ -284,6 +339,8 @@ def _parse_input(parser: argparse.ArgumentParser, text: str) -> InputSpec:
 def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentConfig:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.runs > MAX_RUNS:
+        parser.error(f"--runs must be at most {MAX_RUNS}")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
     variant = Variant(args.variant)

@@ -11,13 +11,21 @@ Kernel contract. Each primitive works on the flat amplitude vector or on its
 (2**k, 2, 2**(n-k-1)) view, where qubit k is the middle axis. X, Z, every
 PauliOp and CNOT only permute amplitudes and flip signs, so they are one
 gather with an index permutation and one multiply by a +/-1 sign array, both
-cached per register size and axis. H is one GEMM: the register reshaped so
-qubit k is the last axis, times H.T, through np.dot, which is the zgemm call
-np.tensordot makes. Measurement, dropping and extending slice or take outer
-products of the view. On one machine every primitive returns amplitudes
-equal under np.array_equal to the tensordot/moveaxis/kron formulation
-(tests/test_kernels.py holds that reference), so seeded reports stay byte
-for byte the same; only signed zeros may differ.
+cached per register size and axis. H is one GEMM: the amplitudes gathered
+by a cached index into C-contiguous (M, 2) pairs, times H.T through np.dot
+(the zgemm call np.tensordot makes), then scattered back by the inverse
+index. prepare_bell writes the pair directly: the register sliced at
+q1 = q2 = 0 times the label's 2x2 table of +/-1/sqrt(2), one broadcast
+multiply, which gives the products H, CNOT, Z and X would. Measurement,
+dropping and extending slice or take outer products of the view, and take
+norms as sqrt(x.real . x.real + x.imag . x.imag) over the flattened array,
+which is what np.linalg.norm evaluates. drop_qubit's eigh path builds rho
+from the view in reduced_density's element order and contracts the register
+with the pure eigenvector through np.dot with a (2, 1) right operand, as
+np.tensordot does. On one machine every primitive returns amplitudes equal
+under np.array_equal to the gate-by-gate tensordot/moveaxis/kron
+formulation (tests/test_kernels.py holds that reference), so seeded reports
+stay byte for byte the same; only signed zeros may differ.
 """
 from __future__ import annotations
 
@@ -162,24 +170,38 @@ def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
     return StateVector(labels, amps)
 
 
-def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] = (1.0, 0.0)) -> StateVector:
-    """Append one unentangled qubit with the given single-qubit amplitudes."""
-    if label in state.labels:
-        raise ValueError(f"label {label!r} already in register")
-    if state.n_qubits + 1 > MAX_QUBITS:
-        raise ValueError(f"register capped at {MAX_QUBITS} qubits")
-    vec = np.asarray(amplitudes, dtype=complex)
-    nrm = np.linalg.norm(vec)
-    if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
-        raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
-    return StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec / nrm).reshape(-1))
-
-
 def _readonly(a: np.ndarray | None) -> np.ndarray | None:
     # Cached kernel arrays are handed to every caller, so none may write to them.
     if a is not None:
         a.flags.writeable = False
     return a
+
+
+def _norm(x: np.ndarray) -> np.floating:
+    """np.linalg.norm of a complex array, the same expression without its wrapper."""
+    flat = x.reshape(-1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
+# The default ancilla |0>: already normalized, so extend skips asarray and the norm.
+_KET0 = _readonly(np.array([1.0, 0.0], dtype=complex))
+
+
+def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] | np.ndarray = _KET0) -> StateVector:
+    """Append one unentangled qubit with the given single-qubit amplitudes."""
+    if label in state.labels:
+        raise ValueError(f"label {label!r} already in register")
+    if state.n_qubits + 1 > MAX_QUBITS:
+        raise ValueError(f"register capped at {MAX_QUBITS} qubits")
+    vec = amplitudes
+    if vec is not _KET0:
+        vec = np.asarray(amplitudes, dtype=complex)
+        nrm = _norm(vec)
+        if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
+            raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
+        vec = vec / nrm
+    return StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec).reshape(-1))
 
 
 # n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
@@ -211,11 +233,18 @@ def _permuted(state: StateVector, perm: np.ndarray | None, sign: np.ndarray | No
     return StateVector(state.labels, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_gather(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, scatter): amplitudes[gather] lists the pairs that differ only in
+    qubit k side by side, and out[scatter] puts them back in register order."""
+    gather = np.arange(2**n).reshape(2**k, 2, -1).transpose(0, 2, 1).reshape(-1)
+    return _readonly(gather), _readonly(np.argsort(gather))
+
+
 def _hadamard(state: StateVector, k: int) -> StateVector:
-    lead, trail = 2**k, 2 ** (state.n_qubits - 1 - k)
-    pairs = state.amplitudes.reshape(lead, 2, trail).transpose(0, 2, 1).reshape(-1, 2)
-    out = np.dot(pairs, _H.T).reshape(lead, trail, 2).transpose(0, 2, 1)
-    return StateVector(state.labels, out.reshape(-1))
+    gather, scatter = _pair_gather(state.n_qubits, k)
+    out = np.dot(state.amplitudes[gather].reshape(-1, 2), _H.T).reshape(-1)
+    return StateVector(state.labels, out[scatter])
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -237,11 +266,21 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
     return _permuted(state, *_pauli_kernel(state.n_qubits, state.axis(target), op))
 
 
+@functools.lru_cache(maxsize=None)
+def _bell_table(label: BellLabel, q1_first: bool) -> np.ndarray:
+    """The label's amplitudes as [q1 bit, q2 bit], laid out on (lead, q, mid, q, trail) axes."""
+    table = BELL_AMPLITUDES[label].reshape(2, 2)
+    if not q1_first:
+        table = table.T
+    return _readonly(table.reshape(1, 2, 1, 2, 1).copy())
+
+
 def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> StateVector:
     """Entangle two fresh |0> qubits into the labeled Bell state.
 
     Signs follow the fixed convention: psi- = (|01> - |10>)/sqrt(2) and so on,
-    with q1 as the more significant ket position.
+    with q1 as the more significant ket position. Only the q1 = q2 = 0 slice is
+    read; the check bounds what lies outside it to NORM_TOL in probability.
     """
     a1, a2 = state.axis(q1), state.axis(q2)
     if a1 == a2:
@@ -250,13 +289,10 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
     mass = probs.take(0, axis=max(a1, a2)).take(0, axis=min(a1, a2)).sum()
     if abs(mass - 1.0) > NORM_TOL:
         raise ValueError(f"{q1},{q2} must be unentangled |0> qubits before pairing")
-    out = apply_gate(state, Gate.h(q1))
-    out = apply_gate(out, Gate.cnot(q1, q2))  # now phi+
-    if label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
-        out = apply_gate(out, Gate.z(q1))
-    if label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
-        out = apply_gate(out, Gate.x(q2))
-    return out
+    lo, hi = sorted((a1, a2))
+    view = state.amplitudes.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
+    out = view[:, :1, :, :1] * _bell_table(label, a1 < a2)
+    return StateVector(state.labels, out.reshape(-1))
 
 
 def _split(state: StateVector, k: int) -> np.ndarray:
@@ -277,7 +313,7 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     outcome = 1 if rng.random() < p1_eff else 0
     out = view.copy()
     out[:, 1 - outcome] = 0.0
-    nrm = np.linalg.norm(out)
+    nrm = _norm(out)
     if nrm < NORM_TOL:
         raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
     return outcome, StateVector(state.labels, out.reshape(-1) / nrm)
@@ -293,18 +329,19 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
         raise ValueError("cannot drop the last qubit of a register")
     k = state.axis(label)
     view = _split(state, k)
-    labels = tuple(l for l in state.labels if l != label)
+    labels = state.labels[:k] + state.labels[k + 1 :]
     # Fast path: qubit already collapsed onto a basis state.
     for bit in (0, 1):
-        if (np.abs(view[:, 1 - bit]) ** 2).sum() < NORM_TOL**2:
+        other = view[:, 1 - bit]
+        if not other.any() or (np.abs(other) ** 2).sum() < NORM_TOL**2:
             rest = view[:, bit].reshape(-1)
-            return StateVector(labels, rest / np.linalg.norm(rest))
-    rho = reduced_density(state, (label,)).matrix
-    evals, evecs = np.linalg.eigh(rho)
+            return StateVector(labels, rest / _norm(rest))
+    psi = view.transpose(1, 0, 2).reshape(2, -1)
+    evals, evecs = np.linalg.eigh(psi @ psi.conj().T)
     if evals[-1] < 1.0 - 1e-9:
         raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
-    rest = np.tensordot(state.tensor(), evecs[:, -1].conj(), axes=([k], [0])).reshape(-1)
-    return StateVector(labels, rest / np.linalg.norm(rest))
+    rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
+    return StateVector(labels, rest / _norm(rest))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -5,9 +5,13 @@ The invariants ``verify`` runs are pytest cases of their own, in
 tests/test_verification.py.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from teleportsim import cli, verification
 from teleportsim.cli import (
@@ -16,6 +20,7 @@ from teleportsim.cli import (
     build_parser,
     main,
     parse_config,
+    render_json,
     run_experiment,
 )
 from teleportsim.core import BellLabel
@@ -57,6 +62,7 @@ class TestParsing:
             ["run", "--variant", "op", "--eve", "pair"],
             ["run", "--variant", "single-i", "--eve", "qubit"],
             ["run", "--variant", "dual", "--eve", "pair"],
+            ["run", "--runs", str(cli.MAX_RUNS + 1)],
         ],
     )
     def test_invalid_arguments_exit_two(self, argv):
@@ -67,6 +73,34 @@ class TestParsing:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
+
+    def test_runs_cap_is_accepted_and_one_more_exits_with_one_message(self, capsys):
+        assert parse_args(["run", "--runs", str(cli.MAX_RUNS)]).runs == cli.MAX_RUNS
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--runs", str(cli.MAX_RUNS + 1)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if not l.startswith("usage:")]
+        assert errors == [f"teleportsim: error: --runs must be at most {cli.MAX_RUNS}"]
+
+    def test_parser_is_reused_without_carrying_arguments(self, capsys):
+        valid = ["run", "--variant", "dual", "--runs", "3", "--channel", "phi+", "--seed", "7",
+                 "--format", "json", "--input", "0.6,0,0,0.8"]
+        assert main(valid) == 0
+        first = capsys.readouterr().out
+        for invalid in (["run", "--runs", "x"], ["run", "--variant", "op", "--eve", "pair"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(invalid)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(valid) == 0
+        assert capsys.readouterr().out == first
+        assert build_parser() is build_parser()
+        assert vars(build_parser().parse_args(["run"])) == {
+            "command": "run", "variant": "single-i", "runs": 1, "channel": "psi-", "input": None,
+            "random_input": False, "seed": 0, "eve": "none", "fmt": "text", "out": None,
+        }
 
 
 class TestRunCommand:
@@ -208,6 +242,67 @@ class TestRunCommand:
         assert leak["eve_observation"] is None
         assert leak["disturbance"] == 1.0
         assert leak["distinguishability"] <= 1e-9
+
+
+def ref_render_json(config, outcome):
+    """The earlier render_json: the whole payload through one json.dumps call."""
+
+    def run_dict(report):
+        out = report.as_dict()
+        a, b = report.input_amplitudes
+        out["input_amplitudes"] = cli._amp_pair(a, b)
+        return out
+
+    payload = {
+        "config": cli._config_dict(config),
+        "runs": [run_dict(r) for r in outcome.reports],
+        "ledger": outcome.ledger.as_dict(),
+        "all_fidelities_ok": outcome.all_fidelities_ok,
+    }
+    if outcome.eve_reports is not None:
+        payload["eve"] = {
+            "mode": config.eve.value,
+            "runs": [leak.as_dict() for leak in outcome.eve_reports],
+        }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+VARIANT_EVES = [
+    ("op", "none"),
+    ("dual", "none"),
+    ("dual", "qubit"),
+    ("single-i", "none"),
+    ("single-i", "pair"),
+    ("single-ii", "none"),
+    ("single-ii", "pair"),
+]
+
+
+class TestJsonRendering:
+    @pytest.mark.parametrize("runs", [1, 4])
+    @pytest.mark.parametrize("input_args", [[], ["--input", "0.28,-0.5,0.3,0.7626270385975047"]])
+    @pytest.mark.parametrize("variant,eve", VARIANT_EVES)
+    def test_matches_json_dumps(self, variant, eve, input_args, runs):
+        config = parse_args(
+            ["run", "--variant", variant, "--eve", eve, "--runs", str(runs), "--seed", "3", "--format", "json"]
+            + input_args
+        )
+        outcome = run_experiment(config)
+        assert render_json(config, outcome) == ref_render_json(config, outcome)
+
+    @given(fidelity=st.floats(), re=st.floats(), im=st.floats())
+    @example(fidelity=5e-324, re=-0.0, im=2.2250738585072014e-308)
+    @example(fidelity=float(np.nextafter(1.0, 0.0)), re=1.0, im=-0.0)
+    @example(fidelity=-0.0, re=1e-17, im=-1e-300)
+    @example(fidelity=1e-17, re=float("nan"), im=float("-inf"))
+    def test_floats_match_json_dumps(self, fidelity, re, im):
+        config = parse_args(["run", "--variant", "single-ii", "--runs", "2", "--format", "json"])
+        outcome = run_experiment(config)
+        report = dataclasses.replace(
+            outcome.reports[1], fidelity=fidelity, input_amplitudes=(complex(re, im), complex(im, re))
+        )
+        outcome = dataclasses.replace(outcome, reports=[outcome.reports[0], report])
+        assert render_json(config, outcome) == ref_render_json(config, outcome)
 
 
 class TestReproducibility:

@@ -2,9 +2,10 @@
 
 The reference functions below are the earlier bodies of the core primitives:
 dense 2x2 matrices contracted with np.tensordot/np.moveaxis, np.kron for
-extend, and np.take plus index lists for measurement and dropping. The
-kernels must return amplitudes equal under np.array_equal (which equates
-signed zeros), so every seeded report stays byte-identical.
+extend, np.take plus index lists for measurement and dropping, and the
+H/CNOT/Z/X gate sequence for preparing a Bell pair. The kernels must return
+amplitudes equal under np.array_equal (which equates signed zeros), so every
+seeded report stays byte-identical.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from teleportsim.core import (
     NORM_TOL,
     PROB_CLAMP,
+    BellLabel,
     Gate,
     GateKind,
     PauliOp,
@@ -24,6 +26,7 @@ from teleportsim.core import (
     drop_qubit,
     extend,
     measure_qubit,
+    prepare_bell,
     reduced_density,
 )
 
@@ -111,6 +114,16 @@ def ref_drop_qubit(state, label):
         raise ValueError("entangled")
     rest = np.tensordot(arr, evecs[:, -1].conj(), axes=([k], [0])).reshape(-1)
     return rest / np.linalg.norm(rest)
+
+
+def ref_prepare_bell(state, q1, q2, label):
+    out = apply_gate(state, Gate.h(q1))
+    out = apply_gate(out, Gate.cnot(q1, q2))  # now phi+
+    if label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
+        out = apply_gate(out, Gate.z(q1))
+    if label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
+        out = apply_gate(out, Gate.x(q2))
+    return out.amplitudes
 
 
 def labels_for(n):
@@ -236,3 +249,36 @@ def test_drop_matches_reference(n, seed, collapsed, entangled):
         got = outcome_or_error(lambda: drop_qubit(state, label).amplitudes)
         want = outcome_or_error(ref_drop_qubit, state, label)
         assert_same(got, want)
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, sparse=st.booleans())
+def test_prepare_bell_matches_gate_sequence(n, seed, sparse):
+    # Qubits p1 < p2 are fresh |0>; the other n - 2 carry random amplitudes.
+    others = random_amplitudes(2 ** (n - 2), np.random.default_rng(seed), sparse)
+    for p1 in range(n):
+        for p2 in range(p1 + 1, n):
+            amps = np.zeros((2**p1, 2, 2 ** (p2 - p1 - 1), 2, 2 ** (n - 1 - p2)), dtype=complex)
+            amps[:, 0, :, 0, :] = others.reshape(2**p1, 2 ** (p2 - p1 - 1), -1)
+            state = StateVector(labels_for(n), amps.reshape(-1))
+            for q1, q2 in ((state.labels[p1], state.labels[p2]), (state.labels[p2], state.labels[p1])):
+                for label in BellLabel:
+                    out = prepare_bell(state, q1, q2, label)
+                    assert out.labels == state.labels
+                    assert np.array_equal(out.amplitudes, ref_prepare_bell(state, q1, q2, label))
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, scale=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-11]))
+def test_drop_near_basis_state_matches_reference(n, seed, scale):
+    # A collapsed qubit plus residue of the given size in the other branch: below
+    # the fast path's mass threshold, at it and above it, where eigh takes over.
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        state = product_state(n, k, seed, collapsed=True)
+        view = state.amplitudes.reshape(2**k, 2, -1).copy()
+        empty = 0 if np.abs(view[:, 0]).sum() == 0 else 1
+        view[:, empty] = scale * random_amplitudes(view[:, empty].size, rng, False).reshape(2**k, -1)
+        state = StateVector(state.labels, view.reshape(-1))
+        got = outcome_or_error(lambda: drop_qubit(state, state.labels[k]).amplitudes)
+        assert_same(got, outcome_or_error(ref_drop_qubit, state, state.labels[k]))
