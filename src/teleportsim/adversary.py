@@ -17,7 +17,6 @@ import numpy as np
 from .bell import TwoBitMessage, encode_superdense, qnd_bell_measure, syndrome_probabilities
 from .core import (
     BellLabel,
-    DensityMatrix,
     StateVector,
     apply_pauli,
     extend,
@@ -62,11 +61,9 @@ def _require_in_flight(custody: Custody, labels: tuple[str, ...]) -> None:
             raise ValueError(f"{label!r} is not in flight; Eve cannot reach it")
 
 
-def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference of two density matrices."""
-    ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
-    mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
 
 
 def total_variation(p: dict[BellLabel, float], q: dict[BellLabel, float]) -> float:
@@ -87,7 +84,7 @@ def eve_intercept_pair(
     return qnd_bell_measure(state, q1, q2, rng)
 
 
-def eve_intercept_message_qubit(state: StateVector, custody: Custody, qm: str) -> DensityMatrix:
+def eve_intercept_message_qubit(state: StateVector, custody: Custody, qm: str) -> np.ndarray:
     """Eve keeps the in-flight message qubit; all she has is its reduced state."""
     _require_in_flight(custody, (qm,))
     return reduced_density(state, (qm,))
@@ -98,7 +95,7 @@ class PairObserver:
 
     def __init__(self) -> None:
         self.labels: list[BellLabel] = []
-        self.pair_states: list[DensityMatrix] = []
+        self.pair_states: list[np.ndarray] = []
 
     def __call__(
         self, state: StateVector, custody: Custody, q1: str, q2: str, rng: np.random.Generator
@@ -113,7 +110,7 @@ class MessageObserver:
     """Message interceptor that keeps the reduced state of the stolen qubit."""
 
     def __init__(self) -> None:
-        self.captured: DensityMatrix | None = None
+        self.captured: np.ndarray | None = None
 
     def __call__(self, state: StateVector, custody: Custody, qm: str) -> None:
         self.captured = eve_intercept_message_qubit(state, custody, qm)
@@ -184,7 +181,7 @@ def message_conditioned_density(msg: TwoBitMessage) -> np.ndarray:
     """Reduced state of the encoded message qubit, conditioned on the message."""
     state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
     state = apply_pauli(state, encode_superdense(msg), "MA")
-    return reduced_density(state, ("MA",)).matrix
+    return reduced_density(state, ("MA",))
 
 
 def message_interception_report(

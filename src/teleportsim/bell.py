@@ -3,8 +3,13 @@
 This module owns the syndrome map of the nondemolition Bell measurement, the
 expansion of channel-times-input composites over the Bell basis, the sixteen
 teleportation corrections, the sixteen channel-restore operators, and the
-superdense encode/decode convention. The tables are hard-coded; the test
-suite re-derives each one from an independent route.
+superdense encode/decode convention.
+
+All but the expansions come from one Pauli frame: each Bell label carries the
+(x, z) bits of the Pauli X^x Z^z that takes phi+ to it, and Paulis compose by
+XOR of those bits, up to phase. The expansions stay hand-written, as do the
+oracle's tables and the test suite's, so they check the derivation from an
+independent route.
 """
 from __future__ import annotations
 
@@ -61,13 +66,34 @@ class TwoBitMessage:
         return f"{self.hi}{self.lo}"
 
 
-# Ancilla syndrome (d, e) -> collapsed Bell state of the measured pair.
-SYNDROME_TO_BELL: dict[tuple[int, int], BellLabel] = {
-    (1, 0): BellLabel.PSI_PLUS,
-    (1, 1): BellLabel.PSI_MINUS,
-    (0, 0): BellLabel.PHI_PLUS,
-    (0, 1): BellLabel.PHI_MINUS,
+# The Pauli frame: (x, z) bits of the Pauli on the first pair member that
+# takes phi+ to each label, up to phase. Every table below is derived from it.
+_XZ_BITS: dict[BellLabel, tuple[int, int]] = {
+    BellLabel.PHI_PLUS: (0, 0),
+    BellLabel.PSI_PLUS: (1, 0),
+    BellLabel.PHI_MINUS: (0, 1),
+    BellLabel.PSI_MINUS: (1, 1),
 }
+
+
+def _pauli(x: int, z: int) -> PauliOp:
+    """X^x Z^z; the name reads X before Z because XZ applies Z first."""
+    return PauliOp("X" * x + "Z" * z or "I")
+
+
+def _xor_table() -> dict[tuple[BellLabel, BellLabel], PauliOp]:
+    """(a, b) -> the Pauli whose bits are the XOR of a's and b's: it takes |a> to
+    |b> on the first pair member, up to phase, and |b> to |a> as well."""
+    return {
+        (a, b): _pauli(_XZ_BITS[a][0] ^ _XZ_BITS[b][0], _XZ_BITS[a][1] ^ _XZ_BITS[b][1])
+        for a in BELL_ORDER
+        for b in BELL_ORDER
+    }
+
+
+# Ancilla syndrome (d, e) -> collapsed Bell state of the measured pair: d is
+# the computational parity (the x bit), e the Hadamard-frame parity (the z bit).
+SYNDROME_TO_BELL: dict[tuple[int, int], BellLabel] = {_XZ_BITS[l]: l for l in BELL_ORDER}
 
 
 def syndrome_to_bell(d: int, e: int) -> BellLabel:
@@ -133,60 +159,18 @@ def bell_expand(channel: BellLabel) -> dict[BellLabel, BobState]:
     return dict(CHANNEL_EXPANSIONS[channel])
 
 
-# (channel, measurement result) -> receiver correction.
-CORRECTIONS: dict[tuple[BellLabel, BellLabel], PauliOp] = {
-    (BellLabel.PSI_MINUS, BellLabel.PSI_MINUS): PauliOp.I,
-    (BellLabel.PSI_MINUS, BellLabel.PSI_PLUS): PauliOp.Z,
-    (BellLabel.PSI_MINUS, BellLabel.PHI_MINUS): PauliOp.X,
-    (BellLabel.PSI_MINUS, BellLabel.PHI_PLUS): PauliOp.XZ,
-    (BellLabel.PSI_PLUS, BellLabel.PSI_PLUS): PauliOp.I,
-    (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS): PauliOp.Z,
-    (BellLabel.PSI_PLUS, BellLabel.PHI_PLUS): PauliOp.X,
-    (BellLabel.PSI_PLUS, BellLabel.PHI_MINUS): PauliOp.XZ,
-    (BellLabel.PHI_MINUS, BellLabel.PHI_MINUS): PauliOp.I,
-    (BellLabel.PHI_MINUS, BellLabel.PHI_PLUS): PauliOp.Z,
-    (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS): PauliOp.X,
-    (BellLabel.PHI_MINUS, BellLabel.PSI_PLUS): PauliOp.XZ,
-    (BellLabel.PHI_PLUS, BellLabel.PHI_PLUS): PauliOp.I,
-    (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS): PauliOp.Z,
-    (BellLabel.PHI_PLUS, BellLabel.PSI_PLUS): PauliOp.X,
-    (BellLabel.PHI_PLUS, BellLabel.PSI_MINUS): PauliOp.XZ,
-}
+# (channel, measurement result) -> receiver correction. The receiver's qubit
+# holds the input under the Paulis of both labels, so the correction is their
+# product.
+CORRECTIONS: dict[tuple[BellLabel, BellLabel], PauliOp] = _xor_table()
 
 
 def correction_for(channel: BellLabel, result: BellLabel) -> PauliOp:
     return CORRECTIONS[(channel, result)]
 
 
-# How each correction operator permutes the Bell states when applied to the
-# first pair member, up to global phase.
-_PAULI_BELL_ACTION: dict[PauliOp, dict[BellLabel, BellLabel]] = {
-    PauliOp.I: {l: l for l in BELL_ORDER},
-    PauliOp.Z: {
-        BellLabel.PSI_PLUS: BellLabel.PSI_MINUS,
-        BellLabel.PSI_MINUS: BellLabel.PSI_PLUS,
-        BellLabel.PHI_PLUS: BellLabel.PHI_MINUS,
-        BellLabel.PHI_MINUS: BellLabel.PHI_PLUS,
-    },
-    PauliOp.X: {
-        BellLabel.PSI_PLUS: BellLabel.PHI_PLUS,
-        BellLabel.PHI_PLUS: BellLabel.PSI_PLUS,
-        BellLabel.PSI_MINUS: BellLabel.PHI_MINUS,
-        BellLabel.PHI_MINUS: BellLabel.PSI_MINUS,
-    },
-    PauliOp.XZ: {
-        BellLabel.PSI_PLUS: BellLabel.PHI_MINUS,
-        BellLabel.PHI_MINUS: BellLabel.PSI_PLUS,
-        BellLabel.PSI_MINUS: BellLabel.PHI_PLUS,
-        BellLabel.PHI_PLUS: BellLabel.PSI_MINUS,
-    },
-}
-
-RESTORES: dict[tuple[BellLabel, BellLabel], PauliOp] = {
-    (measured, action[measured]): op
-    for op, action in _PAULI_BELL_ACTION.items()
-    for measured in BELL_ORDER
-}
+# (measured, target) -> operator on the first pair member.
+RESTORES: dict[tuple[BellLabel, BellLabel], PauliOp] = _xor_table()
 
 
 def restore_op(measured: BellLabel, target: BellLabel) -> PauliOp:
@@ -267,21 +251,15 @@ def syndrome_probabilities(state: StateVector, q1: str, q2: str) -> dict[BellLab
     return {label: float(joint[bits]) for bits, label in SYNDROME_TO_BELL.items()}
 
 
-# Message -> operator on the sender's half of a phi+ pair. The assignment is
-# the inverse of the decode table below, so encode/decode round-trips exactly.
+# Message (hi, lo) -> operator on the sender's half of a phi+ pair: x = lo and
+# z = hi, so the pair lands on the label whose bits decoding reads back.
 SUPERDENSE_ENCODING: dict[tuple[int, int], PauliOp] = {
-    (0, 0): PauliOp.I,
-    (0, 1): PauliOp.X,
-    (1, 0): PauliOp.Z,
-    (1, 1): PauliOp.XZ,
+    (hi, lo): _pauli(lo, hi) for hi in (0, 1) for lo in (0, 1)
 }
 
-# Bell state of the transmitted pair -> decoded bits (hi, lo).
+# Bell state of the transmitted pair -> decoded bits (hi, lo) = (z, x).
 SUPERDENSE_DECODING: dict[BellLabel, TwoBitMessage] = {
-    BellLabel.PHI_PLUS: TwoBitMessage(0, 0),
-    BellLabel.PSI_PLUS: TwoBitMessage(0, 1),
-    BellLabel.PHI_MINUS: TwoBitMessage(1, 0),
-    BellLabel.PSI_MINUS: TwoBitMessage(1, 1),
+    label: TwoBitMessage(z, x) for label, (x, z) in _XZ_BITS.items()
 }
 
 

@@ -329,6 +329,9 @@ def _parse_input(parser: argparse.ArgumentParser, text: str) -> InputSpec:
         parser.error(f"--input expects four comma-separated floats, got {text!r}")
     if not all(map(math.isfinite, (a_re, a_im, b_re, b_im))):
         parser.error(f"--input amplitudes must be finite, got {text!r}")
+    # A part above 2 can never normalize; rejected before squaring, which overflows.
+    if any(abs(p) > 2.0 for p in (a_re, a_im, b_re, b_im)):
+        parser.error(f"input amplitudes must be normalized, got {text!r}")
     alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
     nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if abs(nrm - 1.0) > 1e-6:

@@ -8,10 +8,10 @@ State equality throughout the package means fidelity, which ignores global
 phase; raw amplitude signs only matter where a test pins them explicitly.
 
 Kernel contract. Each primitive works on the flat amplitude vector or on its
-(2**k, 2, 2**(n-k-1)) view, where qubit k is the middle axis. X, Z, every
-PauliOp and CNOT only permute amplitudes and flip signs, so they are one
-gather with an index permutation and one multiply by a +/-1 sign array, both
-cached per register size and axis. H is one GEMM: the amplitudes gathered
+(2**k, 2, 2**(n-k-1)) view, where qubit k is the middle axis. Every PauliOp
+and CNOT only permute amplitudes and flip signs, so they are one gather with
+an index permutation and one multiply by a +/-1 sign array, both cached per
+register size and axis. H is one GEMM: the amplitudes gathered
 by a cached index into C-contiguous (M, 2) pairs, times H.T through np.dot
 (the zgemm call np.tensordot makes), then scattered back by the inverse
 index. prepare_bell writes the pair directly: the register sliced at
@@ -80,13 +80,10 @@ BELL_AMPLITUDES: dict[BellLabel, np.ndarray] = {
 
 
 class GateKind(enum.Enum):
+    """The two non-Pauli gates of the circuits; Paulis go through apply_pauli."""
+
     HADAMARD = "H"
-    PAULI_X = "X"
-    PAULI_Z = "Z"
     CNOT = "CNOT"
-
-
-_GATE_PAULIS = {GateKind.PAULI_X: PauliOp.X, GateKind.PAULI_Z: PauliOp.Z}
 
 
 @dataclass(frozen=True)
@@ -106,14 +103,6 @@ class Gate:
     @classmethod
     def h(cls, q: str) -> "Gate":
         return cls(GateKind.HADAMARD, (q,))
-
-    @classmethod
-    def x(cls, q: str) -> "Gate":
-        return cls(GateKind.PAULI_X, (q,))
-
-    @classmethod
-    def z(cls, q: str) -> "Gate":
-        return cls(GateKind.PAULI_Z, (q,))
 
     @classmethod
     def cnot(cls, control: str, target: str) -> "Gate":
@@ -146,14 +135,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix over an ordered subset of labels."""
-
-    labels: tuple[str, ...]
-    matrix: np.ndarray
 
 
 def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
@@ -252,10 +233,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         c = state.axis(gate.targets[0])
         t = state.axis(gate.targets[1])
         return _permuted(state, _cnot_perm(state.n_qubits, c, t), None)
-    k = state.axis(gate.targets[0])
-    if gate.kind is GateKind.HADAMARD:
-        return _hadamard(state, k)
-    return _permuted(state, *_pauli_kernel(state.n_qubits, k, _GATE_PAULIS[gate.kind]))
+    return _hadamard(state, state.axis(gate.targets[0]))
 
 
 def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
@@ -353,8 +331,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, bt)) ** 2)
 
 
-def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> DensityMatrix:
-    """Partial trace down to the kept labels, in the order given."""
+def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> np.ndarray:
+    """Partial trace down to the kept labels, in the order given, as a matrix."""
     keep = tuple(keep)
     if not keep:
         raise ValueError("must keep at least one qubit")
@@ -363,7 +341,7 @@ def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> De
     axes = [state.axis(l) for l in keep]
     rest = [i for i in range(state.n_qubits) if i not in axes]
     psi = state.tensor().transpose(axes + rest).reshape(2 ** len(keep), -1)
-    return DensityMatrix(keep, psi @ psi.conj().T)
+    return psi @ psi.conj().T
 
 
 def relabel(state: StateVector, old: str, new: str) -> StateVector:

@@ -161,9 +161,6 @@ class Custody:
     def drop(self, label: str) -> None:
         self._holders.pop(label)
 
-    def as_dict(self) -> dict[str, Party | InFlight]:
-        return dict(self._holders)
-
 
 @dataclass(frozen=True)
 class InputSpec:
@@ -175,6 +172,10 @@ class InputSpec:
 
     def __post_init__(self) -> None:
         if not self.random:
+            # A part above 2 can never normalize; rejected before squaring, which overflows.
+            parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
+            if any(abs(p) > 2.0 for p in parts):
+                raise ValueError(f"input amplitudes not normalized: a part of ({self.alpha}, {self.beta}) exceeds 2")
             nrm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
             if not abs(nrm2 - 1.0) <= 1e-9:  # also rejects NaN and inf
                 raise ValueError(f"input amplitudes not normalized: |a|^2+|b|^2 = {nrm2:.3e}")
@@ -237,19 +238,32 @@ PairInterceptor = Callable[[StateVector, Custody, str, str, np.random.Generator]
 MessageInterceptor = Callable[[StateVector, Custody, str], None]
 
 
-def _qubit_fidelity(state: StateVector, label: str, target: tuple[complex, complex]) -> float:
-    rho = reduced_density(state, (label,)).matrix
-    vec = np.array(target, dtype=complex)
-    return float(np.real(vec.conj() @ rho @ vec))
+def _alice_measures(
+    state: StateVector, custody: Custody, spec: InputSpec, rng: np.random.Generator
+) -> tuple[tuple[complex, complex], BellLabel, StateVector]:
+    """Charles hands Alice the input as C; she Bell-measures (A, C) without destroying it.
 
-
-def _deliver_input(
-    state: StateVector, custody: Custody, alpha: complex, beta: complex
-) -> tuple[StateVector, Custody]:
+    Returns the resolved input amplitudes, her result and the register.
+    """
+    amplitudes = spec.resolve(rng)
     # Charles is a state-preparation step; his handoff is not a counted transmission.
-    state = extend(state, "C", (alpha, beta))
+    state = extend(state, "C", amplitudes)
     custody.assign("C", Party.ALICE)
-    return state, custody
+    custody.require(Party.ALICE, ("A", "C"))
+    result, state = qnd_bell_measure(state, "A", "C", rng)
+    return amplitudes, result, state
+
+
+def _bob_corrects(
+    state: StateVector, channel: BellLabel, result: BellLabel, target: tuple[complex, complex]
+) -> tuple[PauliOp, StateVector, float]:
+    """Bob corrects B for (channel, result); returns the correction, the register
+    and B's fidelity with the target input."""
+    correction = correction_for(channel, result)
+    state = apply_pauli(state, correction, "B")
+    rho = reduced_density(state, ("B",))
+    vec = np.array(target, dtype=complex)
+    return correction, state, float(np.real(vec.conj() @ rho @ vec))
 
 
 def _destructive_readout(state: StateVector, custody: Custody, rng: np.random.Generator) -> StateVector:
@@ -278,17 +292,11 @@ def run_op_baseline(
     ledger.epr_pairs_created += 1
     custody = Custody({"A": Party.ALICE, "B": Party.BOB})
 
-    alpha, beta = input_spec.resolve(rng)
-    state, custody = _deliver_input(state, custody, alpha, beta)
-
-    custody.require(Party.ALICE, ("A", "C"))
-    result, state = qnd_bell_measure(state, "A", "C", rng)
+    amplitudes, result, state = _alice_measures(state, custody, input_spec, rng)
     state = _destructive_readout(state, custody, rng)
     ledger.classical_bits_transmitted += 2
 
-    correction = correction_for(channel, result)
-    state = apply_pauli(state, correction, "B")
-    fid = _qubit_fidelity(state, "B", (alpha, beta))
+    correction, state, fid = _bob_corrects(state, channel, result, amplitudes)
 
     return RunReport(
         run_index=run_index,
@@ -299,7 +307,7 @@ def run_op_baseline(
         fidelity=fid,
         channel_after=None,
         ledger_delta=ledger.delta(before),
-        input_amplitudes=(alpha, beta),
+        input_amplitudes=amplitudes,
         final_state=state,
     )
 
@@ -331,11 +339,7 @@ def run_single_channel_aqt(
     channel = initial_channel
     reports: list[RunReport] = []
     for i, spec in enumerate(inputs):
-        alpha, beta = spec.resolve(rng)
-        state, custody = _deliver_input(state, custody, alpha, beta)
-
-        custody.require(Party.ALICE, ("A", "C"))
-        result, state = qnd_bell_measure(state, "A", "C", rng)
+        amplitudes, result, state = _alice_measures(state, custody, spec, rng)
 
         custody.send(("A", "C"), Party.ALICE, Party.BOB, ledger)
         if pair_interceptor is not None:
@@ -348,9 +352,7 @@ def run_single_channel_aqt(
                 f"run {i}: receiver syndrome {bob_result.value} != sender {result.value}"
             )
 
-        correction = correction_for(channel, result)
-        state = apply_pauli(state, correction, "B")
-        fid = _qubit_fidelity(state, "B", (alpha, beta))
+        correction, state, fid = _bob_corrects(state, channel, result, amplitudes)
 
         if approach is Approach.RESTORE_CHANNEL:
             state = apply_pauli(state, restore_op(result, initial_channel), "A")
@@ -376,7 +378,7 @@ def run_single_channel_aqt(
                 fidelity=fid,
                 channel_after=channel_after,
                 ledger_delta=ledger.delta(before),
-                input_amplitudes=(alpha, beta),
+                input_amplitudes=amplitudes,
                 final_state=state,
             )
         )
@@ -414,11 +416,7 @@ def run_two_channel_aqt(
         {"A": Party.ALICE, "B": Party.BOB, "MA": Party.ALICE, "MB": Party.BOB}
     )
 
-    alpha, beta = input_spec.resolve(rng)
-    state, custody = _deliver_input(state, custody, alpha, beta)
-
-    custody.require(Party.ALICE, ("A", "C"))
-    result, state = qnd_bell_measure(state, "A", "C", rng)
+    amplitudes, result, state = _alice_measures(state, custody, input_spec, rng)
     state = _destructive_readout(state, custody, rng)
 
     message = label_to_message(result)
@@ -437,10 +435,7 @@ def run_two_channel_aqt(
     if decoded != message:
         raise ProtocolError(f"decoded message {decoded} != encoded {message}")
 
-    received = message_to_label(decoded)
-    correction = correction_for(teleport_channel, received)
-    state = apply_pauli(state, correction, "B")
-    fid = _qubit_fidelity(state, "B", (alpha, beta))
+    correction, state, fid = _bob_corrects(state, teleport_channel, message_to_label(decoded), amplitudes)
 
     return RunReport(
         run_index=run_index,
@@ -451,6 +446,6 @@ def run_two_channel_aqt(
         fidelity=fid,
         channel_after=None,
         ledger_delta=ledger.delta(before),
-        input_amplitudes=(alpha, beta),
+        input_amplitudes=amplitudes,
         final_state=state,
     )

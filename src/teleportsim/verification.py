@@ -98,7 +98,10 @@ def check_unitarity() -> CheckResult:
                 state = apply_gate(state, Gate.cnot(labels[c], labels[t]))
             else:
                 q = labels[rng.integers(0, 4)]
-                state = apply_gate(state, [Gate.h, Gate.x, Gate.z][kind](q))
+                if kind == 0:
+                    state = apply_gate(state, Gate.h(q))
+                else:
+                    state = apply_pauli(state, (PauliOp.X, PauliOp.Z)[kind - 1], q)
         worst = max(worst, abs(state.norm() - 1.0))
     return worst < TOL, f"max norm drift {worst:.2e}"
 
@@ -108,14 +111,13 @@ def check_involutions() -> CheckResult:
     worst = 1.0
     for _ in range(20):
         state = _random_state(("A", "B", "C"), rng)
-        for twice in (
-            (Gate.h("A"), Gate.h("A")),
-            (Gate.x("B"), Gate.x("B")),
-            (Gate.z("C"), Gate.z("C")),
-            (Gate.cnot("A", "C"), Gate.cnot("A", "C")),
+        for step in (
+            lambda s: apply_gate(s, Gate.h("A")),
+            lambda s: apply_pauli(s, PauliOp.X, "B"),
+            lambda s: apply_pauli(s, PauliOp.Z, "C"),
+            lambda s: apply_gate(s, Gate.cnot("A", "C")),
         ):
-            out = apply_gate(apply_gate(state, twice[0]), twice[1])
-            worst = min(worst, fidelity(state, out))
+            worst = min(worst, fidelity(state, step(step(state))))
     return worst >= 1.0 - TOL, f"min involution fidelity {worst:.15f}"
 
 
@@ -157,12 +159,12 @@ def check_measurement_statistics() -> CheckResult:
 def check_reduced_density() -> CheckResult:
     rng = np.random.default_rng(17)
     pair = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PSI_MINUS)
-    rho = reduced_density(pair, ("A",)).matrix
+    rho = reduced_density(pair, ("A",))
     if not np.allclose(rho, np.eye(2) / 2.0, atol=TOL):
         return False, "half of psi- is not maximally mixed"
     alpha, beta = _haar_pair(rng)
     prod = extend(pair, "C", (alpha, beta))
-    rho_c = reduced_density(prod, ("C",)).matrix
+    rho_c = reduced_density(prod, ("C",))
     chi = np.array([alpha, beta])
     if not np.allclose(rho_c, np.outer(chi, chi.conj()), atol=TOL):
         return False, "product qubit density is not the projector"

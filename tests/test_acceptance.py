@@ -212,7 +212,7 @@ def test_receiver_rereads_label_without_damage():
         )
         ok = ok and sender is again is third
 
-        rho = reduced_density(state, ("A", "C")).matrix
+        rho = reduced_density(state, ("A", "C"))
         vec = LOCAL_BELL[sender]
         pair_fid = float(np.real(vec.conj() @ rho @ vec))
         ok = ok and pair_fid >= 1.0 - TOL

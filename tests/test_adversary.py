@@ -55,7 +55,7 @@ class TestDistanceMetrics:
         one = np.diag([0.0, 1.0]).astype(complex)
         assert abs(trace_distance(zero, one) - 1.0) < TOL
 
-    def test_trace_distance_accepts_density_matrix_objects(self):
+    def test_trace_distance_accepts_reduced_densities(self):
         state = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PHI_PLUS)
         rho = reduced_density(state, ("A",))
         assert trace_distance(rho, MAXIMALLY_MIXED) < TOL
@@ -113,7 +113,7 @@ class TestPairAttack:
         assert all(r.fidelity >= 1 - TOL for r in reports)
         for label, rho in zip(observer.labels, observer.pair_states):
             bell = BELL_AMPLITUDES[label]
-            assert np.real(bell.conj() @ rho.matrix @ bell) >= 1 - TOL
+            assert np.real(bell.conj() @ rho @ bell) >= 1 - TOL
 
     def test_analysis_reports_no_leakage_for_distinct_inputs(self):
         leaks = pair_interception_analysis(

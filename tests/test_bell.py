@@ -197,7 +197,7 @@ class TestQndMeasurement:
             state = channel_composite(BellLabel.PHI_PLUS, 0.8, 0.6 * np.exp(0.4j))
             label, after = qnd_bell_measure(state, "A", "C", rng)
             seen.add(label)
-            rho = reduced_density(after, ("A", "C")).matrix
+            rho = reduced_density(after, ("A", "C"))
             bell = BELL_AMPLITUDES[label]
             assert np.real(bell.conj() @ rho @ bell) >= 1 - TOL
         assert seen == set(BELL_ORDER)
@@ -209,7 +209,7 @@ class TestQndMeasurement:
             state = channel_composite(BellLabel.PSI_PLUS, alpha, beta)
             label, after = qnd_bell_measure(state, "A", "C", rng)
             desc = CHANNEL_EXPANSIONS[BellLabel.PSI_PLUS][label]
-            rho = reduced_density(after, ("B",)).matrix
+            rho = reduced_density(after, ("B",))
             vec = desc.vector(alpha, beta)
             assert np.real(vec.conj() @ rho @ vec) >= 1 - TOL
 

@@ -59,16 +59,19 @@ class TestParsing:
             ["run", "--input", "a,b,c,d"],
             ["run", "--input", "1,0,1,0"],
             ["run", "--input", "1,0,0,-inf"],
+            ["run", "--input", "1e308,0,1e308,0"],
             ["run", "--variant", "op", "--eve", "pair"],
             ["run", "--variant", "single-i", "--eve", "qubit"],
             ["run", "--variant", "dual", "--eve", "pair"],
             ["run", "--runs", str(cli.MAX_RUNS + 1)],
         ],
     )
-    def test_invalid_arguments_exit_two(self, argv):
+    def test_invalid_arguments_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_args(argv)
         assert excinfo.value.code == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("teleportsim: error:")]
+        assert len(errors) == 1
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -369,6 +372,70 @@ class TestTables:
             "label enumeration:",
         ):
             assert heading in out
+
+    def test_whole_output_is_pinned(self, capsys):
+        # Every derived entry and the order of every section, byte for byte.
+        assert main(["tables"]) == 0
+        assert capsys.readouterr().out == TABLES_STDOUT
+
+
+# The full `teleportsim tables` output, as printed when every table was hand-written.
+TABLES_STDOUT = """\
+correction table: (channel, result) -> operator on receiver qubit
+  channel=psi+ result=psi+ -> I
+  channel=psi+ result=psi- -> Z
+  channel=psi+ result=phi+ -> X
+  channel=psi+ result=phi- -> XZ
+  channel=psi- result=psi+ -> Z
+  channel=psi- result=psi- -> I
+  channel=psi- result=phi+ -> XZ
+  channel=psi- result=phi- -> X
+  channel=phi+ result=psi+ -> X
+  channel=phi+ result=psi- -> XZ
+  channel=phi+ result=phi+ -> I
+  channel=phi+ result=phi- -> Z
+  channel=phi- result=psi+ -> XZ
+  channel=phi- result=psi- -> X
+  channel=phi- result=phi+ -> Z
+  channel=phi- result=phi- -> I
+restore table: (measured, target) -> operator on first pair member
+  measured=psi+ target=psi+ -> I
+  measured=psi+ target=psi- -> Z
+  measured=psi+ target=phi+ -> X
+  measured=psi+ target=phi- -> XZ
+  measured=psi- target=psi+ -> Z
+  measured=psi- target=psi- -> I
+  measured=psi- target=phi+ -> XZ
+  measured=psi- target=phi- -> X
+  measured=phi+ target=psi+ -> X
+  measured=phi+ target=psi- -> XZ
+  measured=phi+ target=phi+ -> I
+  measured=phi+ target=phi- -> Z
+  measured=phi- target=psi+ -> XZ
+  measured=phi- target=psi- -> X
+  measured=phi- target=phi+ -> Z
+  measured=phi- target=phi- -> I
+superdense encoding: bits -> operator on sender half of phi+
+  00 -> I
+  01 -> X
+  10 -> Z
+  11 -> XZ
+superdense decoding: pair state -> bits
+  psi+ -> 01
+  psi- -> 11
+  phi+ -> 00
+  phi- -> 10
+syndrome map: ancilla bits (d, e) -> collapsed pair state
+  (1, 0) -> psi+
+  (1, 1) -> psi-
+  (0, 0) -> phi+
+  (0, 1) -> phi-
+label enumeration: pair state -> message bits
+  psi+ -> 00
+  psi- -> 01
+  phi+ -> 10
+  phi- -> 11
+"""
 
 
 def _raise():

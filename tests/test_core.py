@@ -74,12 +74,12 @@ class TestRegisters:
 
 class TestGates:
     def test_x_flips_ground_state(self):
-        state = apply_gate(new_register(("A",)), Gate.x("A"))
+        state = apply_pauli(new_register(("A",)), PauliOp.X, "A")
         np.testing.assert_allclose(state.amplitudes, [0, 1], atol=1e-15)
 
     def test_z_flips_phase(self):
         plus = StateVector(("A",), np.array([SQ2, SQ2], dtype=complex))
-        state = apply_gate(plus, Gate.z("A"))
+        state = apply_pauli(plus, PauliOp.Z, "A")
         np.testing.assert_allclose(state.amplitudes, [SQ2, -SQ2], atol=1e-15)
 
     def test_hadamard_involution(self):
@@ -134,7 +134,7 @@ class TestPauliCorrections:
         rng = np.random.default_rng(6)
         state = random_state(("A", "B"), rng)
         via_op = apply_pauli(state, PauliOp.XZ, "A")
-        via_gates = apply_gate(apply_gate(state, Gate.z("A")), Gate.x("A"))
+        via_gates = apply_pauli(apply_pauli(state, PauliOp.Z, "A"), PauliOp.X, "A")
         np.testing.assert_allclose(via_op.amplitudes, via_gates.amplitudes, atol=1e-12)
 
 
@@ -145,7 +145,7 @@ class TestBellPreparation:
         np.testing.assert_allclose(state.amplitudes, BELL_AMPLITUDES[label], atol=1e-12)
 
     def test_rejects_non_ground_qubits(self):
-        state = apply_gate(new_register(("A", "B")), Gate.x("A"))
+        state = apply_pauli(new_register(("A", "B")), PauliOp.X, "A")
         with pytest.raises(ValueError, match="unentangled"):
             prepare_bell(state, "A", "B", BellLabel.PHI_PLUS)
 
@@ -213,7 +213,7 @@ class TestFidelity:
 
     def test_orthogonal_states(self):
         zero = new_register(("A",))
-        one = apply_gate(zero, Gate.x("A"))
+        one = apply_pauli(zero, PauliOp.X, "A")
         assert fidelity(zero, one) < 1e-12
 
     def test_mismatched_labels_rejected(self):
@@ -224,19 +224,19 @@ class TestFidelity:
 class TestReducedDensity:
     def test_bell_half_is_maximally_mixed(self):
         state = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PHI_MINUS)
-        rho = reduced_density(state, ("A",)).matrix
+        rho = reduced_density(state, ("A",))
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_product_factor_recovered(self):
         state = extend(new_register(("A",)), "B", (0.6, 0.8j))
-        rho = reduced_density(state, ("B",)).matrix
+        rho = reduced_density(state, ("B",))
         vec = np.array([0.6, 0.8j])
         np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), atol=1e-12)
 
     def test_trace_and_hermiticity(self):
         rng = np.random.default_rng(15)
         state = random_state(("A", "B", "C"), rng)
-        rho = reduced_density(state, ("B", "C")).matrix
+        rho = reduced_density(state, ("B", "C"))
         assert abs(np.trace(rho) - 1.0) < 1e-12
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -252,7 +252,7 @@ class TestReducedDensity:
 class TestRegisterEditing:
     def test_drop_collapsed_qubit(self):
         state = extend(new_register(("A",)), "B", (0.6, 0.8))
-        state = apply_gate(state, Gate.x("A"))
+        state = apply_pauli(state, PauliOp.X, "A")
         out = drop_qubit(state, "A")
         assert out.labels == ("B",)
         np.testing.assert_allclose(out.amplitudes, [0.6, 0.8], atol=1e-12)

@@ -34,7 +34,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_MATRICES = {GateKind.HADAMARD: _H, GateKind.PAULI_X: _X, GateKind.PAULI_Z: _Z}
 _PAULIS = {PauliOp.I: np.eye(2, dtype=complex), PauliOp.Z: _Z, PauliOp.X: _X, PauliOp.XZ: _X @ _Z}
 
 QUBIT_COUNTS = range(1, 8)
@@ -55,7 +54,7 @@ def ref_apply_gate(state, gate):
         out[tuple(i11)] = arr[tuple(i10)]
     else:
         k = state.axis(gate.targets[0])
-        out = np.moveaxis(np.tensordot(arr, _MATRICES[gate.kind], axes=([k], [1])), -1, k)
+        out = np.moveaxis(np.tensordot(arr, _H, axes=([k], [1])), -1, k)
     return out.reshape(-1)
 
 
@@ -108,7 +107,7 @@ def ref_drop_qubit(state, label):
         if np.sum(np.abs(arr.take(1 - bit, axis=k)) ** 2) < NORM_TOL**2:
             rest = arr.take(bit, axis=k).reshape(-1)
             return rest / np.linalg.norm(rest)
-    rho = reduced_density(state, (label,)).matrix
+    rho = reduced_density(state, (label,))
     evals, evecs = np.linalg.eigh(rho)
     if evals[-1] < 1.0 - 1e-9:
         raise ValueError("entangled")
@@ -120,9 +119,9 @@ def ref_prepare_bell(state, q1, q2, label):
     out = apply_gate(state, Gate.h(q1))
     out = apply_gate(out, Gate.cnot(q1, q2))  # now phi+
     if label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
-        out = apply_gate(out, Gate.z(q1))
+        out = apply_pauli(out, PauliOp.Z, q1)
     if label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
-        out = apply_gate(out, Gate.x(q2))
+        out = apply_pauli(out, PauliOp.X, q2)
     return out.amplitudes
 
 
@@ -170,10 +169,10 @@ def assert_same(got, want):
 @given(seed=SEEDS, sparse=st.booleans())
 def test_single_qubit_gates_match_reference(n, seed, sparse):
     state = random_state(n, seed, sparse)
+    # H is the one single-qubit gate; test_paulis_match_reference covers X and Z.
     for label in state.labels:
-        for kind in (GateKind.HADAMARD, GateKind.PAULI_X, GateKind.PAULI_Z):
-            gate = Gate(kind, (label,))
-            assert np.array_equal(apply_gate(state, gate).amplitudes, ref_apply_gate(state, gate))
+        gate = Gate.h(label)
+        assert np.array_equal(apply_gate(state, gate).amplitudes, ref_apply_gate(state, gate))
 
 
 @pytest.mark.parametrize("n", QUBIT_COUNTS[1:])

@@ -262,6 +262,13 @@ class TestInputSpec:
         with pytest.raises(ValueError, match="not normalized"):
             InputSpec.explicit(alpha, beta)
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1e200, 1e200), (1e308j, 0.0), (np.nan, 1e200)]
+    )
+    def test_amplitudes_that_never_normalize_rejected_without_overflow(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            InputSpec.explicit(alpha, beta)
+
     def test_explicit_resolve_returns_amplitudes(self):
         alpha, beta = InputSpec.explicit(0.6, 0.8j).resolve(seeded(58))
         assert alpha == 0.6 and beta == 0.8j
