@@ -8,8 +8,9 @@ JSON are rendered to 17 significant digits, enough to round-trip a double.
 
 A JSON report is exactly json.dumps(payload, indent=2, sort_keys=True) of the
 payload {"all_fidelities_ok", "config", "eve" (with --eve), "ledger", "runs"}.
-Run records, the bulk of a report, are written from one fixed template rather
-than through json.dumps, whose indenting encoder is pure Python.
+Run records and eve records, the bulk of a report, are each written from one
+fixed template rather than through json.dumps, whose indenting encoder is pure
+Python.
 
 The parser is built once per process; parsing never mutates it, so repeated
 main() calls in one process behave like separate invocations.
@@ -23,6 +24,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +202,24 @@ def _json_run(r: RunReport) -> str:
     }}"""
 
 
+def _json_leak(leak: LeakageReport) -> str:
+    """One element of the report's "eve" "runs" list, laid out as json.dumps(indent=2,
+    sort_keys=True) writes it three levels down."""
+    obs = "null" if leak.eve_observation is None else _json_str(leak.eve_observation.value)
+    return f"""\
+      {{
+        "distinguishability": {_json_float(leak.distinguishability)},
+        "disturbance": {_json_float(leak.disturbance)},
+        "eve_observation": {obs}
+      }}"""
+
+
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """A list of rendered elements, closed at the given indent; [] when empty."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n{indent}]" if body else "[]"
+
+
 def _json_field(value: object) -> str:
     """A value as json.dumps(indent=2, sort_keys=True) writes it one level down."""
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -211,14 +231,14 @@ def render_json(config: ExperimentConfig, outcome: ExperimentOutcome) -> str:
         ',\n  "config": ', _json_field(_config_dict(config)),
     ]
     if outcome.eve_reports is not None:
-        eve = {"mode": config.eve.value, "runs": [leak.as_dict() for leak in outcome.eve_reports]}
-        parts += [',\n  "eve": ', _json_field(eve)]
-    parts += [',\n  "ledger": ', _json_field(outcome.ledger.as_dict()), ',\n  "runs": ']
-    if outcome.reports:
-        parts += ["[\n", ",\n".join(map(_json_run, outcome.reports)), "\n  ]"]
-    else:
-        parts.append("[]")
-    parts.append("\n}\n")
+        parts += [
+            ',\n  "eve": {\n    "mode": ', _json_str(config.eve.value),
+            ',\n    "runs": ', _json_list(map(_json_leak, outcome.eve_reports), "    "), "\n  }",
+        ]
+    parts += [
+        ',\n  "ledger": ', _json_field(outcome.ledger.as_dict()),
+        ',\n  "runs": ', _json_list(map(_json_run, outcome.reports), "  "), "\n}\n",
+    ]
     return "".join(parts)
 
 

@@ -26,6 +26,13 @@ np.tensordot does. On one machine every primitive returns amplitudes equal
 under np.array_equal to the gate-by-gate tensordot/moveaxis/kron
 formulation (tests/test_kernels.py holds that reference), so seeded reports
 stay byte for byte the same; only signed zeros may differ.
+
+Measurement samples, it does not recompute. measure_qubit keeps the clamped
+P(1) and each collapsed branch of a StateVector per target on that instance,
+so measuring one state K times costs K draws and at most one probability and
+two collapses. This relies on StateVector being immutable: the cached
+branches are handed to every later caller, so their amplitudes are read-only,
+and nothing may write to a register's amplitudes in place.
 """
 from __future__ import annotations
 
@@ -114,7 +121,11 @@ class StateVector:
     """Immutable-by-convention state of a labeled register.
 
     amplitudes has shape (2**n,) where n == len(labels); operations return new
-    instances rather than mutating in place.
+    instances rather than mutating in place. The convention is load-bearing:
+    measure_qubit caches its probability and branches on the instance (outside
+    the fields, so eq, repr and dataclasses.replace never see the cache), and
+    writing to amplitudes in place after a measurement would leave that cache
+    stale. The branches it returns have read-only amplitudes.
     """
 
     labels: tuple[str, ...]
@@ -152,9 +163,10 @@ def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
 
 
 def _readonly(a: np.ndarray | None) -> np.ndarray | None:
-    # Cached kernel arrays are handed to every caller, so none may write to them.
+    # Cached arrays are handed to every caller, so none may write to them.
+    # setflags is the cheaper spelling of a.flags.writeable = False.
     if a is not None:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return a
 
 
@@ -178,6 +190,12 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
     vec = amplitudes
     if vec is not _KET0:
         vec = np.asarray(amplitudes, dtype=complex)
+        if vec.shape != (2,):
+            raise ValueError(f"qubit amplitudes must be one pair (a, b), got shape {vec.shape}")
+        # A part above 2 can never normalize; rejected before squaring, which overflows.
+        a, b = vec.tolist()
+        if abs(a.real) > 2.0 or abs(a.imag) > 2.0 or abs(b.real) > 2.0 or abs(b.imag) > 2.0:
+            raise ValueError(f"qubit amplitudes not normalized: a part of ({a}, {b}) exceeds 2")
         nrm = _norm(vec)
         if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
             raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
@@ -284,17 +302,34 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     Exactly one uniform draw is consumed per call: outcome = 1 iff the draw
     falls below P(1), with P clamped to {0, 1} inside PROB_CLAMP so repeated
     measurements of a collapsed qubit are deterministic.
+
+    Only the draw depends on the call. The clamped P(1) and each branch are
+    computed once per state instance and target, the branch the first time its
+    outcome is drawn, and cached on the instance outside its dataclass fields;
+    later calls return the same branch object, whose amplitudes are read-only.
+    A degenerate branch is not cached, so every call that draws it raises.
     """
-    view = _split(state, state.axis(target))
-    p1 = float((np.abs(view[:, 1]) ** 2).sum())
-    p1_eff = 1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1)
-    outcome = 1 if rng.random() < p1_eff else 0
-    out = view.copy()
-    out[:, 1 - outcome] = 0.0
-    nrm = _norm(out)
-    if nrm < NORM_TOL:
-        raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
-    return outcome, StateVector(state.labels, out.reshape(-1) / nrm)
+    cache = state.__dict__.get("_measured")
+    if cache is None:
+        cache = state.__dict__["_measured"] = {}
+    # [clamped P(1), the (2**k, 2, rest) view, branch for outcome 0, branch for outcome 1]
+    entry = cache.get(target)
+    if entry is None:
+        view = _split(state, state.axis(target))
+        p1 = float((np.abs(view[:, 1]) ** 2).sum())
+        p1_eff = 1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1)
+        entry = cache[target] = [p1_eff, view, None, None]
+    outcome = 1 if rng.random() < entry[0] else 0
+    branch = entry[2 + outcome]
+    if branch is None:
+        out = entry[1].copy()
+        out[:, 1 - outcome] = 0.0
+        nrm = _norm(out)
+        if nrm < NORM_TOL:
+            raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
+        out /= nrm  # the same division as out / nrm, without a second array
+        branch = entry[2 + outcome] = StateVector(state.labels, _readonly(out).reshape(-1))
+    return outcome, branch
 
 
 def drop_qubit(state: StateVector, label: str) -> StateVector:

@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from teleportsim import cli, verification
+from teleportsim.adversary import LeakageReport
 from teleportsim.cli import (
     EveMode,
     ExperimentConfig,
@@ -305,6 +306,24 @@ class TestJsonRendering:
             outcome.reports[1], fidelity=fidelity, input_amplitudes=(complex(re, im), complex(im, re))
         )
         outcome = dataclasses.replace(outcome, reports=[outcome.reports[0], report])
+        assert render_json(config, outcome) == ref_render_json(config, outcome)
+
+    @given(disturbance=st.floats(), distinguishability=st.floats(), observed=st.booleans())
+    @example(disturbance=5e-324, distinguishability=-0.0, observed=False)
+    @example(disturbance=float("nan"), distinguishability=float("inf"), observed=True)
+    @example(disturbance=float("-inf"), distinguishability=2.2250738585072014e-308, observed=False)
+    @example(disturbance=-0.0, distinguishability=float(np.nextafter(1.0, 0.0)), observed=True)
+    def test_eve_floats_match_json_dumps(self, disturbance, distinguishability, observed):
+        config = parse_args(["run", "--variant", "single-i", "--eve", "pair", "--runs", "2", "--format", "json"])
+        outcome = run_experiment(config)
+        leak = LeakageReport(BellLabel.PHI_MINUS if observed else None, disturbance, distinguishability)
+        outcome = dataclasses.replace(outcome, eve_reports=[outcome.eve_reports[0], leak])
+        assert render_json(config, outcome) == ref_render_json(config, outcome)
+
+    def test_empty_eve_runs_match_json_dumps(self):
+        config = parse_args(["run", "--variant", "dual", "--eve", "qubit", "--format", "json"])
+        outcome = dataclasses.replace(run_experiment(config), eve_reports=[])
+        assert '"runs": []' in render_json(config, outcome)
         assert render_json(config, outcome) == ref_render_json(config, outcome)
 
 

@@ -4,6 +4,8 @@ Exact algebra is pinned at 1e-12; the one sampling test uses a 5 sigma band
 over 2 * 10^4 seeded draws.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ class TestRegisters:
     @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (1.0, complex(0.0, -np.inf))])
     def test_extend_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(ValueError, match="not normalized"):
+            extend(new_register(("A",)), "B", bad)
+
+    @pytest.mark.parametrize("bad", [(1e200, 1e200), (1e308j, 0), (np.nan, 1e200), (0, 1e300j)])
+    def test_extend_rejects_huge_parts_before_squaring(self, bad):
+        # Squaring such a part overflows; it must be rejected with no numpy warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds 2"):
+                extend(new_register(("A",)), "B", bad)
+
+    @pytest.mark.parametrize("bad", [1.0, (1.0, 0.0, 0.0), [[1.0, 0.0]]])
+    def test_extend_rejects_anything_but_one_pair(self, bad):
+        with pytest.raises(ValueError, match="one pair"):
             extend(new_register(("A",)), "B", bad)
 
     def test_extend_rejects_existing_label(self):

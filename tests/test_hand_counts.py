@@ -124,3 +124,16 @@ def test_draws_per_haar_run(calls, case, channel):
     run(channel, rng)
     assert rng.draws == per_run * RUNS
     assert calls["measure_qubit"] == (per_run - 2) * RUNS
+
+
+@pytest.mark.parametrize("label", list(BellLabel))
+def test_repeated_measurement_takes_one_draw_and_one_call_each(calls, label):
+    # Measuring one state object again reuses its probability and branches,
+    # never its draw: K measurements are K calls and K draws.
+    state = prepare_bell(new_register(("A", "B")), "A", "B", label)
+    rng = CountingRng(23)
+    k = 50
+    outcomes = {core.measure_qubit(state, "A", rng)[0] for _ in range(k)}
+    assert outcomes == {0, 1}
+    assert rng.draws == k
+    assert calls["measure_qubit"] == k

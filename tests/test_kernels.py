@@ -8,6 +8,8 @@ amplitudes equal under np.array_equal (which equates signed zeros), so every
 seeded report stays byte-identical.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from teleportsim.core import (
     measure_qubit,
     prepare_bell,
     reduced_density,
+    relabel,
 )
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -38,6 +41,7 @@ _PAULIS = {PauliOp.I: np.eye(2, dtype=complex), PauliOp.Z: _Z, PauliOp.X: _X, Pa
 
 QUBIT_COUNTS = range(1, 8)
 SEEDS = st.integers(0, 2**32 - 1)
+REPEATS = 8  # measurements of one state object per target
 
 
 def ref_apply_gate(state, gate):
@@ -98,6 +102,21 @@ class FixedDraw:
 
     def random(self):
         return self.value
+
+
+class LeadDraws:
+    """A seeded generator stand-in whose first 2 * width draws are fixed: width
+    times 0.0, which gives outcome 1, then width times the largest double below
+    1, which gives outcome 0, whenever the clamped P(1) lies strictly between 0
+    and 1. So the first two rounds over width targets reach both branches of
+    each target."""
+
+    def __init__(self, seed, width):
+        self._lead = [0.0] * width + [float(np.nextafter(1.0, 0.0))] * width
+        self._rng = np.random.default_rng(seed)
+
+    def random(self):
+        return self._lead.pop(0) if self._lead else self._rng.random()
 
 
 def ref_drop_qubit(state, label):
@@ -281,3 +300,77 @@ def test_drop_near_basis_state_matches_reference(n, seed, scale):
         state = StateVector(state.labels, view.reshape(-1))
         got = outcome_or_error(lambda: drop_qubit(state, state.labels[k]).amplitudes)
         assert_same(got, outcome_or_error(ref_drop_qubit, state, state.labels[k]))
+
+
+def assert_repeated_measurements_match_reference(state, draw_seed):
+    """REPEATS rounds over every target of one state object, each call against a
+    fresh reference call on an equally seeded draw stream; returns the outcomes
+    seen per target, "ValueError" standing for a degenerate branch."""
+    rng, ref_rng = LeadDraws(draw_seed, state.n_qubits), LeadDraws(draw_seed, state.n_qubits)
+    seen = {label: [] for label in state.labels}
+    for _ in range(REPEATS):
+        for label in state.labels:
+            got = outcome_or_error(measure_qubit, state, label, rng)
+            want = outcome_or_error(ref_measure_qubit, state, label, ref_rng)
+            if isinstance(want, str):
+                assert got == want
+                seen[label].append(want)
+                continue
+            assert got[0] == want[0]
+            assert got[1].labels == state.labels
+            assert np.array_equal(got[1].amplitudes, want[1])
+            assert not got[1].amplitudes.flags.writeable
+            seen[label].append(want[0])
+    assert rng.random() == ref_rng.random()
+    return seen
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS)
+@given(seed=SEEDS, sparse=st.booleans(), draw_seed=SEEDS)
+def test_repeated_measurement_of_one_state_matches_fresh_reference_calls(n, seed, sparse, draw_seed):
+    # Targets are interleaved, so a cache shared between targets would show.
+    state = random_state(n, seed, sparse)
+    seen = assert_repeated_measurements_match_reference(state, draw_seed)
+    for label, outcomes in seen.items():
+        p1 = ref_p1(state, label)
+        if PROB_CLAMP <= p1 <= 1.0 - PROB_CLAMP:
+            assert set(outcomes) == {0, 1}
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS)
+@given(seed=SEEDS, draw_seed=SEEDS)
+def test_degenerate_branch_raises_on_every_call_that_draws_it(n, seed, draw_seed):
+    # Qubit k holds all the mass in |1> and the register's norm is 1/sqrt(2), so
+    # P(1) is about 1/2 and outcome 0 has nothing to renormalize.
+    for k in range(n):
+        view = random_state(n, seed, False).amplitudes.reshape(2**k, 2, -1).copy()
+        view[:, 0] = 0.0
+        view /= np.linalg.norm(view) * np.sqrt(2.0)
+        state = StateVector(labels_for(n), view.reshape(-1))
+        outcomes = assert_repeated_measurements_match_reference(state, draw_seed)[state.labels[k]]
+        assert set(outcomes) == {"ValueError", 1}
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, sparse=st.booleans())
+def test_measurement_branches_are_per_target_and_per_instance(n, seed, sparse):
+    state = random_state(n, seed, sparse)
+    branches = {label: measure_qubit(state, label, FixedDraw(0.0))[1] for label in state.labels}
+    assert len({id(b) for b in branches.values()}) == n
+    for label in state.labels:
+        assert measure_qubit(state, label, FixedDraw(0.0))[1] is branches[label]
+    # A renamed register and a replaced one start without the original's cache.
+    renamed = relabel(state, state.labels[0], "r")
+    _, got = measure_qubit(renamed, "r", FixedDraw(0.0))
+    _, want = ref_measure_qubit(renamed, "r", FixedDraw(0.0))
+    assert got is not branches[state.labels[0]] and np.array_equal(got.amplitudes, want)
+    with pytest.raises(ValueError, match="unknown"):
+        measure_qubit(renamed, state.labels[0], FixedDraw(0.0))
+    other = dataclasses.replace(state, amplitudes=random_state(n, seed + 1, sparse).amplitudes)
+    for label in state.labels:
+        got = outcome_or_error(measure_qubit, other, label, FixedDraw(0.0))
+        want = outcome_or_error(ref_measure_qubit, other, label, FixedDraw(0.0))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0] and np.array_equal(got[1].amplitudes, want[1])
