@@ -53,8 +53,6 @@ from .protocol import (
 )
 from .adversary import (
     LeakageReport,
-    eve_intercept_message_qubit,
-    eve_intercept_pair,
     total_variation,
     trace_distance,
 )

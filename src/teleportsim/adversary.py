@@ -72,26 +72,10 @@ def total_variation(p: dict[BellLabel, float], q: dict[BellLabel, float]) -> flo
     return float(0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys))
 
 
-def eve_intercept_pair(
-    state: StateVector, custody: Custody, q1: str, q2: str, rng: np.random.Generator
-) -> tuple[BellLabel, StateVector]:
-    """Eve's nondemolition Bell measurement on an in-flight pair.
-
-    The pair has already collapsed, so her label matches the sender's and the
-    state she forwards is the state she received.
-    """
-    _require_in_flight(custody, (q1, q2))
-    return qnd_bell_measure(state, q1, q2, rng)
-
-
-def eve_intercept_message_qubit(state: StateVector, custody: Custody, qm: str) -> np.ndarray:
-    """Eve keeps the in-flight message qubit; all she has is its reduced state."""
-    _require_in_flight(custody, (qm,))
-    return reduced_density(state, (qm,))
-
-
 class PairObserver:
-    """Pair interceptor that records Eve's label and her view of the pair."""
+    """Pair interceptor: Eve nondemolition-measures the in-flight pair and records her
+    label and her view of it. The pair has already collapsed, so her label matches the
+    sender's and the state she forwards is the state she received."""
 
     def __init__(self) -> None:
         self.labels: list[BellLabel] = []
@@ -100,20 +84,11 @@ class PairObserver:
     def __call__(
         self, state: StateVector, custody: Custody, q1: str, q2: str, rng: np.random.Generator
     ) -> StateVector:
-        label, state = eve_intercept_pair(state, custody, q1, q2, rng)
+        _require_in_flight(custody, (q1, q2))
+        label, state = qnd_bell_measure(state, q1, q2, rng)
         self.labels.append(label)
         self.pair_states.append(reduced_density(state, (q1, q2)))
         return state
-
-
-class MessageObserver:
-    """Message interceptor that keeps the reduced state of the stolen qubit."""
-
-    def __init__(self) -> None:
-        self.captured: np.ndarray | None = None
-
-    def __call__(self, state: StateVector, custody: Custody, qm: str) -> None:
-        self.captured = eve_intercept_message_qubit(state, custody, qm)
 
 
 def analytic_label_distribution(
@@ -197,19 +172,25 @@ def message_interception_report(
     distinguishability is the trace distance between what Eve holds and the
     maximally mixed qubit.
     """
-    observer = MessageObserver()
+    captured: list[np.ndarray] = []
+
+    def capture(state: StateVector, custody: Custody, qm: str) -> None:
+        # Eve keeps the in-flight message qubit; all she has is its reduced state.
+        _require_in_flight(custody, (qm,))
+        captured.append(reduced_density(state, (qm,)))
+
     report = run_two_channel_aqt(
         input_spec,
         teleport_channel,
         rng,
         ledger=ledger,
         run_index=run_index,
-        message_interceptor=observer,
+        message_interceptor=capture,
     )
-    if report is not None or observer.captured is None:
+    if report is not None or not captured:
         raise ProtocolError(f"run {run_index}: the message interceptor did not capture the qubit in flight")
     return LeakageReport(
         eve_observation=None,
         disturbance=1.0,
-        distinguishability=trace_distance(observer.captured, MAXIMALLY_MIXED),
+        distinguishability=trace_distance(captured[0], MAXIMALLY_MIXED),
     )

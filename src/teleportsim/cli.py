@@ -23,6 +23,7 @@ import enum
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -391,21 +392,30 @@ def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> E
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tables":
-        print(render_tables(), end="")
-        return 0
-    if args.command == "verify":
-        return run_verify()
-    config = parse_config(parser, args)
+    config = parse_config(parser, args) if args.command == "run" else None
+    out = config.out if config else None
+    target = f"--out {out}" if out else "stdout"
     try:
-        # Opened before the run so that an unwritable path fails fast.
-        sink = open(config.out, "w") if config.out else contextlib.nullcontext(sys.stdout)
+        # Opened before the run so that an unwritable path fails fast. Runs and
+        # checks do no I/O, so an OSError here is the output's.
+        with (open(out, "w") if out else contextlib.nullcontext(sys.stdout)) as fh:
+            if args.command == "tables":
+                fh.write(render_tables())
+                code = 0
+            elif args.command == "verify":
+                code = run_verify()
+            else:
+                outcome = run_experiment(config)
+                fh.write(render_json(config, outcome) if config.fmt == "json" else render_text(config, outcome))
+                code = 0 if outcome.all_fidelities_ok else 1
+            fh.flush()
     except OSError as exc:
-        parser.error(f"cannot write --out {config.out}: {exc.strerror}")
-    with sink as fh:
-        outcome = run_experiment(config)
-        fh.write(render_json(config, outcome) if config.fmt == "json" else render_text(config, outcome))
-    return 0 if outcome.all_fidelities_ok else 1
+        if target == "stdout":  # so that the exit-time flush of what stays buffered cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        parser.exit(2, f"{parser.prog}: error: cannot write {target}: {exc.strerror}\n")
+    return code
 
 
 def main_entry() -> None:

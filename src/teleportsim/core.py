@@ -204,9 +204,12 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
 
 
 # n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
+# _pauli_kernel and _bell_table check their enum argument on a cache miss, so a hit pays nothing.
 @functools.lru_cache(maxsize=None)
 def _pauli_kernel(n: int, k: int, op: PauliOp) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(perm, sign) with amplitudes[perm] * sign equal to op on qubit k; None skips a step."""
+    if not isinstance(op, PauliOp):
+        raise ValueError(f"not a PauliOp: {op!r}")
     index = np.arange(2**n)
     bit = (index >> (n - 1 - k)) & 1
     perm = index ^ (1 << (n - 1 - k)) if op in (PauliOp.X, PauliOp.XZ) else None
@@ -265,6 +268,8 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
 @functools.lru_cache(maxsize=None)
 def _bell_table(label: BellLabel, q1_first: bool) -> np.ndarray:
     """The label's amplitudes as [q1 bit, q2 bit], laid out on (lead, q, mid, q, trail) axes."""
+    if not isinstance(label, BellLabel):
+        raise ValueError(f"not a BellLabel: {label!r}")
     table = BELL_AMPLITUDES[label].reshape(2, 2)
     if not q1_first:
         table = table.T

@@ -76,10 +76,8 @@ _LABEL_BITS = {
 
 
 def _lift(matrix: np.ndarray, k: int, n: int) -> np.ndarray:
-    op = np.array([[1.0]], dtype=complex)
-    for i in range(n):
-        op = np.kron(op, matrix if i == k else np.eye(2, dtype=complex))
-    return op
+    """The single-qubit matrix acting on qubit k of n: I (x) matrix (x) I."""
+    return np.kron(np.kron(np.eye(2**k, dtype=complex), matrix), np.eye(2 ** (n - k - 1), dtype=complex))
 
 
 def _cnot_matrix(c: int, t: int, n: int) -> np.ndarray:
@@ -113,15 +111,16 @@ def _slice_out(vec: np.ndarray, k: int, n: int, bit: int) -> np.ndarray:
 
 
 def _qnd(vec: np.ndarray, q1: int, q2: int, d: int, e: int, n: int) -> np.ndarray:
+    h1, h2 = _lift(_HMAT, q1, n), _lift(_HMAT, q2, n)
     for op in (
         _cnot_matrix(q1, d, n),
         _cnot_matrix(q2, d, n),
-        _lift(_HMAT, q1, n),
-        _lift(_HMAT, q2, n),
+        h1,
+        h2,
         _cnot_matrix(q1, e, n),
         _cnot_matrix(q2, e, n),
-        _lift(_HMAT, q1, n),
-        _lift(_HMAT, q2, n),
+        h1,
+        h2,
     ):
         vec = op @ vec
     return vec

@@ -146,6 +146,7 @@ class Custody:
         ledger.qubits_transmitted += len(labels)
 
     def deliver(self, labels: Iterable[str], dest: Party) -> None:
+        labels = tuple(labels)
         for label in labels:
             holder = self.holder(label)
             if not isinstance(holder, InFlight) or holder.dest is not dest:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import cli, oracle
 from .adversary import (
+    PairObserver,
     message_conditioned_density,
     message_interception_report,
     pair_interception_analysis,
@@ -408,8 +409,6 @@ def check_zero_leakage() -> CheckResult:
 
 
 def check_non_disturbance() -> CheckResult:
-    from .adversary import PairObserver
-
     worst = 0.0
     for seed in range(10):
         def _go(intercept: bool):

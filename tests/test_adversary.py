@@ -9,11 +9,8 @@ from teleportsim import adversary
 from teleportsim.adversary import (
     MAXIMALLY_MIXED,
     LeakageReport,
-    MessageObserver,
     PairObserver,
     analytic_label_distribution,
-    eve_intercept_message_qubit,
-    eve_intercept_pair,
     message_interception_report,
     pair_interception_analysis,
     total_variation,
@@ -68,35 +65,55 @@ class TestDistanceMetrics:
         assert abs(total_variation(p, q) - 0.25) < TOL
 
 
+def _message_pair(in_flight):
+    """A phi+ message pair whose MA half is on the wire, or still with Alice."""
+    state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
+    custody = Custody({"MA": Party.ALICE, "MB": Party.BOB})
+    if in_flight:
+        custody.send(("MA",), Party.ALICE, Party.BOB, Ledger())
+    return state, custody
+
+
+def _stub_dual_run(monkeypatch, in_flight):
+    """Replace the dual run with one that hands Eve the message pair and aborts."""
+
+    def run(*args, message_interceptor, **kwargs):
+        message_interceptor(*_message_pair(in_flight), "MA")
+        return None
+
+    monkeypatch.setattr(adversary, "run_two_channel_aqt", run)
+
+
 class TestInterceptionHooks:
     def test_pair_interception_requires_in_flight_qubits(self):
         state = prepare_bell(new_register(("A", "C")), "A", "C", BellLabel.PSI_MINUS)
         custody = Custody({"A": Party.ALICE, "C": Party.ALICE})
+        observer = PairObserver()
         with pytest.raises(ValueError, match="not in flight"):
-            eve_intercept_pair(state, custody, "A", "C", seeded(70))
+            observer(state, custody, "A", "C", seeded(70))
+        assert observer.labels == [] and observer.pair_states == []
 
     def test_pair_interception_matches_collapsed_state(self):
         state = prepare_bell(new_register(("A", "C")), "A", "C", BellLabel.PHI_MINUS)
         custody = Custody({"A": Party.ALICE, "C": Party.ALICE})
         custody.send(("A", "C"), Party.ALICE, Party.BOB, Ledger())
-        label, after = eve_intercept_pair(state, custody, "A", "C", seeded(71))
-        assert label is BellLabel.PHI_MINUS
+        observer = PairObserver()
+        after = observer(state, custody, "A", "C", seeded(71))
+        assert observer.labels == [BellLabel.PHI_MINUS]
         np.testing.assert_allclose(
             np.abs(after.amplitudes), np.abs(BELL_AMPLITUDES[BellLabel.PHI_MINUS]), atol=TOL
         )
+        np.testing.assert_allclose(observer.pair_states[0], reduced_density(after, ("A", "C")), atol=TOL)
 
-    def test_message_interception_requires_in_flight_qubit(self):
-        state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-        custody = Custody({"MA": Party.ALICE, "MB": Party.BOB})
+    def test_message_interception_requires_in_flight_qubit(self, monkeypatch):
+        _stub_dual_run(monkeypatch, in_flight=False)
         with pytest.raises(ValueError, match="not in flight"):
-            eve_intercept_message_qubit(state, custody, "MA")
+            message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(77))
 
-    def test_message_interception_sees_maximally_mixed_qubit(self):
-        state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-        custody = Custody({"MA": Party.ALICE, "MB": Party.BOB})
-        custody.send(("MA",), Party.ALICE, Party.BOB, Ledger())
-        rho = eve_intercept_message_qubit(state, custody, "MA")
-        assert trace_distance(rho, MAXIMALLY_MIXED) < TOL
+    def test_message_interception_sees_maximally_mixed_qubit(self, monkeypatch):
+        _stub_dual_run(monkeypatch, in_flight=True)
+        leak = message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(78))
+        assert leak.distinguishability < TOL
 
 
 class TestPairAttack:
@@ -179,15 +196,6 @@ class TestMessageAttack:
         monkeypatch.setattr(adversary, "run_two_channel_aqt", lambda *args, **kwargs: None)
         with pytest.raises(ProtocolError, match="did not capture"):
             message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(76))
-
-    def test_message_observer_capture(self):
-        observer = MessageObserver()
-        state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-        custody = Custody({"MA": Party.ALICE, "MB": Party.BOB})
-        custody.send(("MA",), Party.ALICE, Party.BOB, Ledger())
-        observer(state, custody, "MA")
-        assert observer.captured is not None
-        assert trace_distance(observer.captured, MAXIMALLY_MIXED) < TOL
 
     def test_leakage_report_serialization(self):
         leak = LeakageReport(BellLabel.PSI_PLUS, 0.0, 0.0)

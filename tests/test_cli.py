@@ -5,12 +5,19 @@ The invariants ``verify`` runs are pytest cases of their own, in
 tests/test_verification.py.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim import cli, verification
@@ -489,3 +496,81 @@ class TestVerify:
         assert code == 1
         assert out == "FAIL stub/boom: raised RuntimeError: kaput\nPASS stub/a: fine\n1/2 invariants hold\n"
         assert "Traceback" not in out + err
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_cli(args, stdout):
+    """The CLI in a fresh interpreter with Python's default buffering; (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout is flushed again at exit
+    proc = subprocess.run(
+        [sys.executable, "-m", "teleportsim.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableOutput:
+    """Output that cannot be written or flushed exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run"], ["run", "--runs", "200", "--format", "json"], ["tables"], ["verify"]],
+    )
+    def test_full_stdout_exits_two_with_one_line(self, args):
+        with open("/dev/full", "w") as full:
+            code, err = _run_cli(args, full)
+        assert code == 2
+        assert err == "teleportsim: error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("runs", ["1", "200"])
+    def test_full_out_file_exits_two_with_one_line(self, runs):
+        code, err = _run_cli(["run", "--runs", runs, "--out", "/dev/full"], subprocess.DEVNULL)
+        assert code == 2
+        assert err == "teleportsim: error: cannot write --out /dev/full: No space left on device\n"
+
+
+@st.composite
+def _unit_input(draw):
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    s = math.sin(theta / 2)
+    return ",".join(map(repr, (math.cos(theta / 2), 0.0, s * math.cos(phi), s * math.sin(phi))))
+
+
+_INPUT_TEXT = st.none() | st.text() | _unit_input() | st.lists(st.floats(), min_size=4, max_size=4).map(
+    lambda parts: ",".join(map(repr, parts))
+)
+
+
+@settings(max_examples=200)
+@given(
+    input_text=_INPUT_TEXT,
+    seed=st.integers(-1, 2**64),
+    channel=st.sampled_from([label.value for label in BellLabel]),
+    variant=st.sampled_from([v.value for v in Variant]),
+    eve=st.sampled_from([m.value for m in EveMode]),
+    runs=st.sampled_from([0, 1, 2, cli.MAX_RUNS + 1]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_main_simulates_exactly_or_exits_two(input_text, seed, channel, variant, eve, runs, fmt):
+    argv = ["run", "--variant", variant, "--channel", channel, "--eve", eve, "--seed", str(seed),
+            "--runs", str(runs), "--format", fmt]
+    if input_text is not None:
+        argv.append(f"--input={input_text}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        ok = '"all_fidelities_ok": true' if fmt == "json" else "all_fidelities_ok=true"
+        assert ok in out.getvalue() and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        errors = [l for l in err.getvalue().splitlines() if l.startswith("teleportsim: error:")]
+        assert len(errors) == 1 and "Traceback" not in err.getvalue()

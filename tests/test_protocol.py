@@ -232,6 +232,14 @@ class TestCustody:
         assert custody.holder("A") is Party.BOB
         assert ledger.qubits_transmitted == 1
 
+    def test_send_and_deliver_accept_one_shot_iterables(self):
+        custody = Custody({"A": Party.ALICE, "C": Party.ALICE})
+        ledger = Ledger()
+        custody.send((label for label in ("A", "C")), Party.ALICE, Party.BOB, ledger)
+        custody.deliver((label for label in ("A", "C")), Party.BOB)
+        assert custody.holder("A") is Party.BOB and custody.holder("C") is Party.BOB
+        assert ledger.qubits_transmitted == 2
+
     def test_require_flags_wrong_holder(self):
         custody = Custody({"A": Party.BOB})
         with pytest.raises(ProtocolError, match="does not hold"):
