@@ -26,14 +26,10 @@ from .bell import (
     BELL_ORDER,
     BobState,
     TwoBitMessage,
-    bell_expand,
-    correction_for,
     decode_superdense,
-    encode_superdense,
     label_to_message,
     message_to_label,
     qnd_bell_measure,
-    restore_op,
     syndrome_probabilities,
     syndrome_to_bell,
 )

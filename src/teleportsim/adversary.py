@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import TwoBitMessage, encode_superdense, qnd_bell_measure, syndrome_probabilities
+from .bell import SUPERDENSE_ENCODING, TwoBitMessage, qnd_bell_measure, syndrome_probabilities
 from .core import (
     BellLabel,
     StateVector,
@@ -121,6 +121,8 @@ def pair_interception_analysis(
     which keeps the comparison controlled: any difference Eve sees would
     have to come from the inputs themselves.
     """
+    if not isinstance(approach, Approach):
+        raise ValueError(f"not an Approach: {approach!r}")
 
     def _capture(spec: InputSpec) -> tuple[list[RunReport], PairObserver]:
         input_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -155,7 +157,7 @@ def pair_interception_analysis(
 def message_conditioned_density(msg: TwoBitMessage) -> np.ndarray:
     """Reduced state of the encoded message qubit, conditioned on the message."""
     state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-    state = apply_pauli(state, encode_superdense(msg), "MA")
+    state = apply_pauli(state, SUPERDENSE_ENCODING[msg], "MA")
     return reduced_density(state, ("MA",))
 
 

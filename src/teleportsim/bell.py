@@ -2,8 +2,8 @@
 
 This module owns the syndrome map of the nondemolition Bell measurement, the
 expansion of channel-times-input composites over the Bell basis, the sixteen
-teleportation corrections, the sixteen channel-restore operators, and the
-superdense encode/decode convention.
+Pauli corrections (which also restore a collapsed channel), and the superdense
+encode/decode convention. The tables are the API: callers index them directly.
 
 All but the expansions come from one Pauli frame: each Bell label carries the
 (x, z) bits of the Pauli X^x Z^z that takes phi+ to it, and Paulis compose by
@@ -81,16 +81,6 @@ def _pauli(x: int, z: int) -> PauliOp:
     return PauliOp("X" * x + "Z" * z or "I")
 
 
-def _xor_table() -> dict[tuple[BellLabel, BellLabel], PauliOp]:
-    """(a, b) -> the Pauli whose bits are the XOR of a's and b's: it takes |a> to
-    |b> on the first pair member, up to phase, and |b> to |a> as well."""
-    return {
-        (a, b): _pauli(_XZ_BITS[a][0] ^ _XZ_BITS[b][0], _XZ_BITS[a][1] ^ _XZ_BITS[b][1])
-        for a in BELL_ORDER
-        for b in BELL_ORDER
-    }
-
-
 # Ancilla syndrome (d, e) -> collapsed Bell state of the measured pair: d is
 # the computational parity (the x bit), e the Hadamard-frame parity (the z bit).
 SYNDROME_TO_BELL: dict[tuple[int, int], BellLabel] = {_XZ_BITS[l]: l for l in BELL_ORDER}
@@ -154,28 +144,16 @@ CHANNEL_EXPANSIONS: dict[BellLabel, dict[BellLabel, BobState]] = {
 }
 
 
-def bell_expand(channel: BellLabel) -> dict[BellLabel, BobState]:
-    """Branch descriptors for a channel, keyed by measurement result."""
-    return dict(CHANNEL_EXPANSIONS[channel])
-
-
-# (channel, measurement result) -> receiver correction. The receiver's qubit
+# (a, b) -> the Pauli whose bits are the XOR of a's and b's. Read as (channel,
+# measurement result), it is the receiver's correction: the receiver's qubit
 # holds the input under the Paulis of both labels, so the correction is their
-# product.
-CORRECTIONS: dict[tuple[BellLabel, BellLabel], PauliOp] = _xor_table()
-
-
-def correction_for(channel: BellLabel, result: BellLabel) -> PauliOp:
-    return CORRECTIONS[(channel, result)]
-
-
-# (measured, target) -> operator on the first pair member.
-RESTORES: dict[tuple[BellLabel, BellLabel], PauliOp] = _xor_table()
-
-
-def restore_op(measured: BellLabel, target: BellLabel) -> PauliOp:
-    """Operator on the first pair member mapping |measured> to |target>, up to phase."""
-    return RESTORES[(measured, target)]
+# product. Read as (measured, target), it is the operator on the first pair
+# member that restores a collapsed pair |measured> to |target>, up to phase.
+CORRECTIONS: dict[tuple[BellLabel, BellLabel], PauliOp] = {
+    (a, b): _pauli(_XZ_BITS[a][0] ^ _XZ_BITS[b][0], _XZ_BITS[a][1] ^ _XZ_BITS[b][1])
+    for a in BELL_ORDER
+    for b in BELL_ORDER
+}
 
 
 def _fresh(state: StateVector, base: str) -> str:
@@ -216,6 +194,15 @@ def _qnd_gates(q1: str, q2: str, d: str, e: str) -> tuple[Gate, ...]:
     )
 
 
+def _with_syndrome(state: StateVector, q1: str, q2: str) -> tuple[StateVector, str, str]:
+    """Allocate two fresh |0> ancillas d and e and run the parity circuit onto them."""
+    d = _fresh(state, "D")
+    out = extend(state, d)
+    e = _fresh(out, "E")
+    out = extend(out, e)
+    return apply_qnd_circuit(out, q1, q2, d, e), d, e
+
+
 def qnd_bell_measure(
     state: StateVector, q1: str, q2: str, rng: np.random.Generator
 ) -> tuple[BellLabel, StateVector]:
@@ -226,11 +213,7 @@ def qnd_bell_measure(
     reported Bell state and stays there, so a repeat on the same pair returns
     the same label deterministically.
     """
-    d = _fresh(state, "D")
-    out = extend(state, d)
-    e = _fresh(out, "E")
-    out = extend(out, e)
-    out = apply_qnd_circuit(out, q1, q2, d, e)
+    out, d, e = _with_syndrome(state, q1, q2)
     d_bit, out = measure_qubit(out, d, rng)
     e_bit, out = measure_qubit(out, e, rng)
     out = drop_qubit(out, d)
@@ -240,11 +223,7 @@ def qnd_bell_measure(
 
 def syndrome_probabilities(state: StateVector, q1: str, q2: str) -> dict[BellLabel, float]:
     """Analytic ancilla-syndrome distribution, without sampling anything."""
-    d = _fresh(state, "D")
-    out = extend(state, d)
-    e = _fresh(out, "E")
-    out = extend(out, e)
-    out = apply_qnd_circuit(out, q1, q2, d, e)
+    out, d, e = _with_syndrome(state, q1, q2)
     probs = np.abs(out.tensor()) ** 2
     axes = tuple(i for i in range(out.n_qubits) if i not in (out.axis(d), out.axis(e)))
     joint = probs.sum(axis=axes)
@@ -252,19 +231,16 @@ def syndrome_probabilities(state: StateVector, q1: str, q2: str) -> dict[BellLab
 
 
 # Message (hi, lo) -> operator on the sender's half of a phi+ pair: x = lo and
-# z = hi, so the pair lands on the label whose bits decoding reads back.
-SUPERDENSE_ENCODING: dict[tuple[int, int], PauliOp] = {
-    (hi, lo): _pauli(lo, hi) for hi in (0, 1) for lo in (0, 1)
+# z = hi, so the pair lands on the label whose bits decoding reads back. Keyed
+# hi-major, so it iterates 00, 01, 10, 11.
+SUPERDENSE_ENCODING: dict[TwoBitMessage, PauliOp] = {
+    TwoBitMessage(hi, lo): _pauli(lo, hi) for hi in (0, 1) for lo in (0, 1)
 }
 
 # Bell state of the transmitted pair -> decoded bits (hi, lo) = (z, x).
 SUPERDENSE_DECODING: dict[BellLabel, TwoBitMessage] = {
     label: TwoBitMessage(z, x) for label, (x, z) in _XZ_BITS.items()
 }
-
-
-def encode_superdense(msg: TwoBitMessage) -> PauliOp:
-    return SUPERDENSE_ENCODING[(msg.hi, msg.lo)]
 
 
 def decode_superdense(

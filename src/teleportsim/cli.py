@@ -38,7 +38,7 @@ from .adversary import (
     pair_interception_analysis,
 )
 from .bell import BELL_ORDER, SUPERDENSE_DECODING, SUPERDENSE_ENCODING, SYNDROME_TO_BELL
-from .bell import CORRECTIONS, RESTORES, label_to_message
+from .bell import CORRECTIONS, label_to_message
 from .core import BellLabel
 from .protocol import (
     Approach,
@@ -283,15 +283,14 @@ def render_tables() -> str:
     lines = ["correction table: (channel, result) -> operator on receiver qubit"]
     for channel in BELL_ORDER:
         for result in BELL_ORDER:
-            lines.append(f"  channel={channel.value} result={result.value} -> {CORRECTIONS[(channel, result)].value}")
+            lines.append(f"  channel={channel.value} result={result.value} -> {CORRECTIONS[channel, result].value}")
     lines.append("restore table: (measured, target) -> operator on first pair member")
     for measured in BELL_ORDER:
         for target in BELL_ORDER:
-            lines.append(f"  measured={measured.value} target={target.value} -> {RESTORES[(measured, target)].value}")
+            lines.append(f"  measured={measured.value} target={target.value} -> {CORRECTIONS[measured, target].value}")
     lines.append("superdense encoding: bits -> operator on sender half of phi+")
-    for hi in (0, 1):
-        for lo in (0, 1):
-            lines.append(f"  {hi}{lo} -> {SUPERDENSE_ENCODING[(hi, lo)].value}")
+    for msg, op in SUPERDENSE_ENCODING.items():
+        lines.append(f"  {msg} -> {op.value}")
     lines.append("superdense decoding: pair state -> bits")
     for label in BELL_ORDER:
         lines.append(f"  {label.value} -> {SUPERDENSE_DECODING[label]}")
@@ -376,7 +375,7 @@ def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> E
         parser.error("--eve pair only applies to the single-channel variants")
     if eve is EveMode.QUBIT and variant is not Variant.TWO_CHANNEL:
         parser.error("--eve qubit only applies to the dual variant")
-    spec = _parse_input(parser, args.input) if args.input else InputSpec.haar()
+    spec = _parse_input(parser, args.input) if args.input is not None else InputSpec.haar()
     return ExperimentConfig(
         variant=variant,
         runs=args.runs,

@@ -204,7 +204,8 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
 
 
 # n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
-# _pauli_kernel and _bell_table check their enum argument on a cache miss, so a hit pays nothing.
+# _pauli_kernel and _bell_table check their enum argument on a cache miss, so a hit pays nothing;
+# their callers turn the cache's TypeError on an unhashable argument into the same ValueError.
 @functools.lru_cache(maxsize=None)
 def _pauli_kernel(n: int, k: int, op: PauliOp) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(perm, sign) with amplitudes[perm] * sign equal to op on qubit k; None skips a step."""
@@ -262,7 +263,12 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
 
     The identity returns a register that shares the input's amplitudes.
     """
-    return _permuted(state, *_pauli_kernel(state.n_qubits, state.axis(target), op))
+    k = state.axis(target)
+    try:
+        kernel = _pauli_kernel(state.n_qubits, k, op)
+    except TypeError:
+        raise ValueError(f"not a PauliOp: {op!r}") from None
+    return _permuted(state, *kernel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,7 +298,11 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
         raise ValueError(f"{q1},{q2} must be unentangled |0> qubits before pairing")
     lo, hi = sorted((a1, a2))
     view = state.amplitudes.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
-    out = view[:, :1, :, :1] * _bell_table(label, a1 < a2)
+    try:
+        table = _bell_table(label, a1 < a2)
+    except TypeError:
+        raise ValueError(f"not a BellLabel: {label!r}") from None
+    out = view[:, :1, :, :1] * table
     return StateVector(state.labels, out.reshape(-1))
 
 

@@ -25,13 +25,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bell import (
-    correction_for,
+    CORRECTIONS,
+    SUPERDENSE_ENCODING,
     decode_superdense,
-    encode_superdense,
     label_to_message,
     message_to_label,
     qnd_bell_measure,
-    restore_op,
     MESSAGE_CHANNEL,
 )
 from .core import (
@@ -56,7 +55,6 @@ class ProtocolError(RuntimeError):
 class Party(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-    CHARLES = "charles"
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def _bob_corrects(
 ) -> tuple[PauliOp, StateVector, float]:
     """Bob corrects B for (channel, result); returns the correction, the register
     and B's fidelity with the target input."""
-    correction = correction_for(channel, result)
+    correction = CORRECTIONS[channel, result]
     state = apply_pauli(state, correction, "B")
     rho = reduced_density(state, ("B",))
     vec = np.array(target, dtype=complex)
@@ -329,6 +327,8 @@ def run_single_channel_aqt(
     collapsed label. A returns to Alice and the old input qubit becomes the
     new channel half B. No classical bits are ever sent.
     """
+    if not isinstance(approach, Approach):
+        raise ValueError(f"not an Approach: {approach!r}")
     ledger = ledger if ledger is not None else Ledger()
     before = replace(ledger)
     variant = _APPROACH_VARIANT[approach]
@@ -356,7 +356,7 @@ def run_single_channel_aqt(
         correction, state, fid = _bob_corrects(state, channel, result, amplitudes)
 
         if approach is Approach.RESTORE_CHANNEL:
-            state = apply_pauli(state, restore_op(result, initial_channel), "A")
+            state = apply_pauli(state, CORRECTIONS[result, initial_channel], "A")
             channel_after = initial_channel
         else:
             channel_after = result
@@ -421,7 +421,7 @@ def run_two_channel_aqt(
     state = _destructive_readout(state, custody, rng)
 
     message = label_to_message(result)
-    state = apply_pauli(state, encode_superdense(message), "MA")
+    state = apply_pauli(state, SUPERDENSE_ENCODING[message], "MA")
     custody.send(("MA",), Party.ALICE, Party.BOB, ledger)
     if message_interceptor is not None:
         message_interceptor(state, custody, "MA")

@@ -24,15 +24,14 @@ from .adversary import (
 )
 from .bell import (
     BELL_ORDER,
+    CHANNEL_EXPANSIONS,
+    CORRECTIONS,
+    SUPERDENSE_ENCODING,
     TwoBitMessage,
-    bell_expand,
-    correction_for,
     decode_superdense,
-    encode_superdense,
     label_to_message,
     message_to_label,
     qnd_bell_measure,
-    restore_op,
     syndrome_probabilities,
     syndrome_to_bell,
 )
@@ -178,19 +177,19 @@ def check_table_consistency() -> CheckResult:
     rng = np.random.default_rng(19)
     worst = 1.0
     for channel in BELL_ORDER:
-        for result, descriptor in bell_expand(channel).items():
+        for result, descriptor in CHANNEL_EXPANSIONS[channel].items():
             for _ in range(20):
                 alpha, beta = _haar_pair(rng)
                 vec = descriptor.vector(alpha, beta)
                 state = StateVector(("B",), vec / np.linalg.norm(vec))
-                fixed = apply_pauli(state, correction_for(channel, result), "B")
+                fixed = apply_pauli(state, CORRECTIONS[channel, result], "B")
                 worst = min(worst, _overlap2((alpha, beta), fixed.amplitudes))
     if worst < 1.0 - TOL:
         return False, f"correction left fidelity {worst:.15f}"
     # Re-derive the table: for a generic input exactly one operator works.
     alpha, beta = 0.8, 0.6 * np.exp(1.1j)
     for channel in BELL_ORDER:
-        for result, descriptor in bell_expand(channel).items():
+        for result, descriptor in CHANNEL_EXPANSIONS[channel].items():
             vec = descriptor.vector(alpha, beta)
             state = StateVector(("B",), vec / np.linalg.norm(vec))
             winners = [
@@ -198,7 +197,7 @@ def check_table_consistency() -> CheckResult:
                 for op in PauliOp
                 if _overlap2((alpha, beta), apply_pauli(state, op, "B").amplitudes) >= 1.0 - TOL
             ]
-            if winners != [correction_for(channel, result)]:
+            if winners != [CORRECTIONS[channel, result]]:
                 return False, f"derived {winners} for ({channel.value}, {result.value})"
     return True, "all 16 corrections re-derived from the expansions"
 
@@ -245,7 +244,7 @@ def check_superdense_roundtrip() -> CheckResult:
         msg = TwoBitMessage.from_index(index)
         for seed in (0, 1):
             state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-            state = apply_pauli(state, encode_superdense(msg), "MA")
+            state = apply_pauli(state, SUPERDENSE_ENCODING[msg], "MA")
             decoded, _ = decode_superdense(state, "MA", "MB", np.random.default_rng(seed))
             if decoded != msg:
                 return False, f"{msg} decoded as {decoded}"
@@ -256,7 +255,7 @@ def check_restore_correctness() -> CheckResult:
     for measured in BELL_ORDER:
         for target in BELL_ORDER:
             state = prepare_bell(new_register(("A", "C")), "A", "C", measured)
-            state = apply_pauli(state, restore_op(measured, target), "A")
+            state = apply_pauli(state, CORRECTIONS[measured, target], "A")
             want = prepare_bell(new_register(("A", "C")), "A", "C", target)
             if fidelity(want, state) < 1.0 - TOL:
                 return False, f"restore {measured.value} -> {target.value} failed"

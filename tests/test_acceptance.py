@@ -17,13 +17,13 @@ from teleportsim.adversary import (
 )
 from teleportsim.bell import (
     BELL_ORDER,
+    CHANNEL_EXPANSIONS,
+    CORRECTIONS,
+    SUPERDENSE_ENCODING,
     SYNDROME_TO_BELL,
     TwoBitMessage,
     apply_qnd_circuit,
-    bell_expand,
-    correction_for,
     decode_superdense,
-    encode_superdense,
     qnd_bell_measure,
     syndrome_probabilities,
 )
@@ -87,7 +87,7 @@ def test_corrections_fix_every_cell():
     worst = 1.0
     for channel in BELL_ORDER:
         for result in BELL_ORDER:
-            gate = LOCAL_PAULI[correction_for(channel, result)]
+            gate = LOCAL_PAULI[CORRECTIONS[channel, result]]
             for _ in range(25):
                 alpha, beta = haar_amplitudes(rng)
                 repaired = gate @ receiver_branch(channel, result, alpha, beta)
@@ -107,7 +107,7 @@ def test_circuit_branches_match_expansion_table():
     state = extend(state, "E")
     state = apply_qnd_circuit(state, "A", "C", "D", "E")
     t = state.tensor()  # axes (A, B, C, D, E)
-    expansion = bell_expand(BellLabel.PSI_MINUS)
+    expansion = CHANNEL_EXPANSIONS[BellLabel.PSI_MINUS]
 
     ok = SYNDROME_TO_BELL == {
         (1, 0): BellLabel.PSI_PLUS,
@@ -225,7 +225,7 @@ def test_superdense_roundtrip_and_cost():
     for index in range(4):
         msg = TwoBitMessage.from_index(index)
         state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-        state = apply_pauli(state, encode_superdense(msg), "MA")
+        state = apply_pauli(state, SUPERDENSE_ENCODING[msg], "MA")
         decoded, _ = decode_superdense(
             state, "MA", "MB", np.random.default_rng(np.random.SeedSequence([41, index]))
         )

@@ -14,19 +14,15 @@ from teleportsim.bell import (
     CHANNEL_EXPANSIONS,
     CORRECTIONS,
     MESSAGE_CHANNEL,
-    RESTORES,
     SUPERDENSE_DECODING,
     SUPERDENSE_ENCODING,
     SYNDROME_TO_BELL,
     TwoBitMessage,
     apply_qnd_circuit,
-    bell_expand,
-    correction_for,
     decode_superdense,
     label_to_message,
     message_to_label,
     qnd_bell_measure,
-    restore_op,
     syndrome_probabilities,
     syndrome_to_bell,
 )
@@ -117,7 +113,7 @@ class TestExpansions:
             nrm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
             alpha, beta = alpha / nrm, beta / nrm
             state = channel_composite(channel, alpha, beta)
-            for result, desc in bell_expand(channel).items():
+            for result, desc in CHANNEL_EXPANSIONS[channel].items():
                 branch = project_pair(state, result)
                 # Every branch carries weight 1/2.
                 assert abs(np.linalg.norm(branch) - 0.5) < TOL
@@ -127,22 +123,17 @@ class TestExpansions:
                     atol=1e-11,
                 )
 
-    def test_bell_expand_returns_copy(self):
-        table = bell_expand(BellLabel.PSI_MINUS)
-        table.pop(BellLabel.PSI_PLUS)
-        assert BellLabel.PSI_PLUS in CHANNEL_EXPANSIONS[BellLabel.PSI_MINUS]
-
 
 class TestCorrections:
     def test_pinned_examples(self):
-        assert correction_for(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS) is PauliOp.I
-        assert correction_for(BellLabel.PSI_MINUS, BellLabel.PHI_PLUS) is PauliOp.XZ
-        assert correction_for(BellLabel.PHI_PLUS, BellLabel.PSI_PLUS) is PauliOp.X
+        assert CORRECTIONS[BellLabel.PSI_MINUS, BellLabel.PSI_MINUS] is PauliOp.I
+        assert CORRECTIONS[BellLabel.PSI_MINUS, BellLabel.PHI_PLUS] is PauliOp.XZ
+        assert CORRECTIONS[BellLabel.PHI_PLUS, BellLabel.PSI_PLUS] is PauliOp.X
 
     def test_table_is_total(self):
         assert len(CORRECTIONS) == 16
         for channel in BELL_ORDER:
-            ops = [correction_for(channel, result) for result in BELL_ORDER]
+            ops = [CORRECTIONS[channel, result] for result in BELL_ORDER]
             assert sorted(op.value for op in ops) == ["I", "X", "XZ", "Z"]
 
     @pytest.mark.parametrize("channel", BELL_ORDER)
@@ -154,7 +145,7 @@ class TestCorrections:
         for result in BELL_ORDER:
             branch = project_pair(state, result)
             branch /= np.linalg.norm(branch)
-            corrected = PAULI_MATRICES[correction_for(channel, result)] @ branch
+            corrected = PAULI_MATRICES[CORRECTIONS[channel, result]] @ branch
             assert abs(np.vdot(chi, corrected)) ** 2 >= 1 - TOL
 
     def test_corrections_are_unique_repairs(self):
@@ -171,7 +162,7 @@ class TestCorrections:
                     for op, mat in PAULI_MATRICES.items()
                     if abs(np.vdot(chi, mat @ branch)) ** 2 >= 1 - TOL
                 ]
-                assert working == [correction_for(channel, result)]
+                assert working == [CORRECTIONS[channel, result]]
 
 
 class TestQndMeasurement:
@@ -238,16 +229,16 @@ class TestQndMeasurement:
 
 class TestRestores:
     def test_pinned_examples(self):
-        assert restore_op(BellLabel.PSI_PLUS, BellLabel.PSI_MINUS) is PauliOp.Z
-        assert restore_op(BellLabel.PSI_MINUS, BellLabel.PSI_MINUS) is PauliOp.I
-        assert restore_op(BellLabel.PHI_PLUS, BellLabel.PSI_MINUS) is PauliOp.XZ
+        assert CORRECTIONS[BellLabel.PSI_PLUS, BellLabel.PSI_MINUS] is PauliOp.Z
+        assert CORRECTIONS[BellLabel.PSI_MINUS, BellLabel.PSI_MINUS] is PauliOp.I
+        assert CORRECTIONS[BellLabel.PHI_PLUS, BellLabel.PSI_MINUS] is PauliOp.XZ
 
     def test_all_sixteen_by_state_evolution(self):
-        assert len(RESTORES) == 16
+        assert len(CORRECTIONS) == 16
         for measured in BELL_ORDER:
             for target in BELL_ORDER:
                 state = prepare_bell(new_register(("A", "B")), "A", "B", measured)
-                moved = apply_pauli(state, restore_op(measured, target), "A")
+                moved = apply_pauli(state, CORRECTIONS[measured, target], "A")
                 want = StateVector(("A", "B"), BELL_AMPLITUDES[target])
                 assert fidelity(moved, want) >= 1 - TOL
 
@@ -261,7 +252,7 @@ class TestRestores:
                     for op in PauliOp
                     if fidelity(apply_pauli(state, op, "A"), want) >= 1 - TOL
                 ]
-                assert working == [restore_op(measured, target)]
+                assert working == [CORRECTIONS[measured, target]]
 
 
 class TestSuperdense:
@@ -269,11 +260,11 @@ class TestSuperdense:
         assert MESSAGE_CHANNEL is BellLabel.PHI_PLUS
 
     def test_encoding_moves_channel_to_decodable_state(self):
-        bits_to_label = {str(msg): label for label, msg in SUPERDENSE_DECODING.items()}
-        for (hi, lo), op in SUPERDENSE_ENCODING.items():
+        bits_to_label = {msg: label for label, msg in SUPERDENSE_DECODING.items()}
+        for msg, op in SUPERDENSE_ENCODING.items():
             state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", MESSAGE_CHANNEL)
             encoded = apply_pauli(state, op, "MA")
-            expected = bits_to_label[f"{hi}{lo}"]
+            expected = bits_to_label[msg]
             want = StateVector(("MA", "MB"), BELL_AMPLITUDES[expected])
             assert fidelity(encoded, want) >= 1 - TOL
 

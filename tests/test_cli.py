@@ -72,6 +72,8 @@ class TestParsing:
             ["run", "--variant", "single-i", "--eve", "qubit"],
             ["run", "--variant", "dual", "--eve", "pair"],
             ["run", "--runs", str(cli.MAX_RUNS + 1)],
+            ["run", "--input="],
+            ["run", "--input", ""],
         ],
     )
     def test_invalid_arguments_exit_two(self, argv, capsys):

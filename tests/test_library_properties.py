@@ -1,10 +1,11 @@
 """Library constructors either return a result or raise ValueError.
 
 Hypothesis drives ``InputSpec.explicit`` and ``extend`` over complex floats
-(NaN, infinities, huge values and subnormals included), and ``prepare_bell``
+(NaN, infinities, huge values and subnormals included), ``prepare_bell``
 and ``apply_pauli`` over their enum members and stray values such as the
-members' string values, the other enum and None. Any other exception, or any
-numpy RuntimeWarning, fails the property.
+members' string values, the other enum, None and unhashable values, and the
+single-channel drivers over stray ``approach`` values. Any other exception,
+or any numpy RuntimeWarning, fails the property.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from teleportsim.adversary import pair_interception_analysis
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
@@ -23,7 +25,7 @@ from teleportsim.core import (
     new_register,
     prepare_bell,
 )
-from teleportsim.protocol import InputSpec
+from teleportsim.protocol import Approach, InputSpec, run_single_channel_aqt
 
 _PARTS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 2.0, 1.0])
 _COMPLEX = st.builds(complex, _PARTS, _PARTS)
@@ -41,13 +43,23 @@ def _unit_pairs(draw):
 
 _PAIRS = st.tuples(_COMPLEX, _COMPLEX) | _unit_pairs()
 
+_VALUES = st.sampled_from(
+    [label.value for label in BellLabel] + [op.value for op in PauliOp] + [a.value for a in Approach]
+)
+# Unhashable strays reach the kernel caches, whose lookup raises TypeError before any check runs.
+_UNHASHABLE = (
+    st.lists(_VALUES | st.integers(), max_size=2)
+    | st.dictionaries(_VALUES, st.integers(), max_size=2)
+    | st.builds(np.array, st.lists(st.floats(allow_nan=False), max_size=2))
+)
 _STRAYS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
     | st.text(max_size=4)
-    | st.sampled_from([label.value for label in BellLabel] + [op.value for op in PauliOp])
+    | _VALUES
+    | _UNHASHABLE
 )
 
 
@@ -90,6 +102,9 @@ def test_extend_returns_or_raises_value_error(pair):
 
 
 @given(label=st.sampled_from(BellLabel) | st.sampled_from(PauliOp) | _STRAYS, first=st.booleans())
+@example(label=["psi-"], first=True)
+@example(label={"psi-": 0}, first=False)
+@example(label=np.zeros(2), first=True)
 def test_prepare_bell_takes_only_bell_labels(label, first):
     q1, q2 = ("A", "B") if first else ("B", "A")
     state = _strict(prepare_bell, new_register(("A", "B")), q1, q2, label)
@@ -100,6 +115,9 @@ def test_prepare_bell_takes_only_bell_labels(label, first):
 
 
 @given(op=st.sampled_from(PauliOp) | st.sampled_from(BellLabel) | _STRAYS, n=st.integers(1, 4))
+@example(op=["X"], n=1)
+@example(op={"X": 1}, n=2)
+@example(op=np.zeros(2), n=3)
 def test_apply_pauli_takes_only_pauli_ops(op, n):
     labels = tuple("ABCD"[:n])
     state = _strict(apply_pauli, new_register(labels), op, labels[-1])
@@ -107,3 +125,22 @@ def test_apply_pauli_takes_only_pauli_ops(op, n):
     if state is not None:
         flipped = op in (PauliOp.X, PauliOp.XZ)
         assert abs(state.amplitudes[1 if flipped else 0]) == 1.0
+
+
+@given(approach=st.sampled_from(Approach) | st.sampled_from(BellLabel) | _STRAYS)
+@example(approach="restore")
+@example(approach=None)
+@example(approach=["restore"])
+def test_single_channel_drivers_take_only_approaches(approach):
+    """A stray approach raises ValueError before a draw is taken."""
+    rng = np.random.default_rng(3)
+    untouched = rng.bit_generator.state
+    spec = InputSpec.explicit(0.6, 0.8)
+    reports = _strict(run_single_channel_aqt, [spec], approach, BellLabel.PSI_MINUS, rng)
+    assert (reports is not None) == isinstance(approach, Approach)
+    if reports is None:
+        assert rng.bit_generator.state == untouched
+    else:
+        assert reports[0].fidelity > 1.0 - 1e-12
+    leaks = _strict(pair_interception_analysis, spec, InputSpec.haar(), approach, BellLabel.PSI_MINUS, 0)
+    assert (leaks is not None) == isinstance(approach, Approach)

@@ -5,7 +5,7 @@ plus custody bookkeeping and the resource ledger.
 import numpy as np
 import pytest
 
-from teleportsim.bell import correction_for
+from teleportsim.bell import CORRECTIONS
 from teleportsim.core import BELL_AMPLITUDES, BellLabel, PauliOp
 from teleportsim.protocol import (
     Approach,
@@ -39,7 +39,7 @@ class TestOpBaseline:
             assert report.variant is Variant.OP
             assert report.channel_before is channel
             assert report.channel_after is None
-            assert report.correction is correction_for(channel, report.alice_result)
+            assert report.correction is CORRECTIONS[channel, report.alice_result]
 
     def test_per_run_resources(self):
         ledger = Ledger()
@@ -105,7 +105,7 @@ class TestSingleChannel:
             seeded(47),
         )
         for r in reports:
-            assert r.correction is correction_for(r.channel_before, r.alice_result)
+            assert r.correction is CORRECTIONS[r.channel_before, r.alice_result]
 
     def test_snapshot_layout_and_variants(self):
         reports = run_single_channel_aqt(
@@ -155,7 +155,7 @@ class TestTwoChannel:
             assert report is not None
             assert report.fidelity >= 1 - TOL
             assert report.variant is Variant.TWO_CHANNEL
-            assert report.correction is correction_for(channel, report.alice_result)
+            assert report.correction is CORRECTIONS[channel, report.alice_result]
 
     def test_per_run_resources(self):
         report = run_two_channel_aqt(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(53))
