@@ -41,6 +41,11 @@ BELL_ORDER: tuple[BellLabel, ...] = (
 MESSAGE_CHANNEL = BellLabel.PHI_PLUS
 
 
+def _is_int(x: object) -> bool:
+    """An integer that is not a bool: True and 1.0 equal 1 but print otherwise."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TwoBitMessage:
     """Two classical bits, most significant first."""
@@ -49,8 +54,8 @@ class TwoBitMessage:
     lo: int
 
     def __post_init__(self) -> None:
-        if self.hi not in (0, 1) or self.lo not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got ({self.hi}, {self.lo})")
+        if not (_is_int(self.hi) and _is_int(self.lo) and self.hi in (0, 1) and self.lo in (0, 1)):
+            raise ValueError(f"bits hi and lo must be ints 0 or 1, got ({self.hi!r}, {self.lo!r})")
 
     @property
     def index(self) -> int:
@@ -58,8 +63,8 @@ class TwoBitMessage:
 
     @classmethod
     def from_index(cls, index: int) -> "TwoBitMessage":
-        if index not in range(4):
-            raise ValueError(f"message index out of range: {index}")
+        if not (_is_int(index) and index in range(4)):
+            raise ValueError(f"message index must be an int from 0 to 3, got {index!r}")
         return cls(index >> 1, index & 1)
 
     def __str__(self) -> str:
@@ -89,8 +94,8 @@ SYNDROME_TO_BELL: dict[tuple[int, int], BellLabel] = {_XZ_BITS[l]: l for l in BE
 def syndrome_to_bell(d: int, e: int) -> BellLabel:
     try:
         return SYNDROME_TO_BELL[(d, e)]
-    except KeyError:
-        raise ValueError(f"syndrome bits must be 0 or 1, got ({d}, {e})") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable stray
+        raise ValueError(f"syndrome bits d and e must be ints 0 or 1, got ({d!r}, {e!r})") from None
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,11 @@ def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> S
 
     Ancilla d picks up the computational parity of the pair, e the parity in
     the Hadamard-rotated frame; the trailing Hadamards rotate the pair back so
-    it ends in the same Bell state the syndrome names.
+    it ends in the same Bell state the syndrome names. A pair of one qubit with
+    itself has no Bell state, so q1 == q2 raises.
     """
+    if q1 == q2:
+        raise ValueError(f"QND pair members q1 and q2 must be two qubits, got {q1!r} twice")
     out = state
     for gate in _qnd_gates(q1, q2, d, e):
         out = apply_gate(out, gate)
@@ -259,10 +267,23 @@ def decode_superdense(
     return TwoBitMessage(hi, lo), out
 
 
+# Fixed enumeration of Bell labels as two bits, in serialization order.
+_LABEL_MESSAGES: dict[BellLabel, TwoBitMessage] = {
+    label: TwoBitMessage.from_index(i) for i, label in enumerate(BELL_ORDER)
+}
+_MESSAGE_LABELS: dict[TwoBitMessage, BellLabel] = {m: label for label, m in _LABEL_MESSAGES.items()}
+
+
 def label_to_message(label: BellLabel) -> TwoBitMessage:
     """Fixed enumeration of Bell labels as two bits, in serialization order."""
-    return TwoBitMessage.from_index(BELL_ORDER.index(label))
+    try:
+        return _LABEL_MESSAGES[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable stray
+        raise ValueError(f"label must be a BellLabel, got {label!r}") from None
 
 
 def message_to_label(msg: TwoBitMessage) -> BellLabel:
-    return BELL_ORDER[msg.index]
+    try:
+        return _MESSAGE_LABELS[msg]
+    except (KeyError, TypeError):
+        raise ValueError(f"msg must be a TwoBitMessage, got {msg!r}") from None

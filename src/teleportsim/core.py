@@ -33,6 +33,20 @@ so measuring one state K times costs K draws and at most one probability and
 two collapses. This relies on StateVector being immutable: the cached
 branches are handed to every later caller, so their amplitudes are read-only,
 and nothing may write to a register's amplitudes in place.
+
+Shared run trees take the same idea from one measurement to a whole run. A
+state that carries a memo (a "_memo" dict in its __dict__, outside the
+dataclass fields; the class default is None) is a node of a shared tree: prepare_bell, extend,
+apply_gate, apply_pauli, drop_qubit and reduced_density look their result up
+in it by their exact arguments (amplitudes by their bytes, so 0.0 and -0.0
+differ) and compute it only on a miss; the result joins the tree read-only,
+with a memo of its own, as do the branches measure_qubit draws from a shared
+state. A call with the same arguments on the same node therefore returns the
+same object. Every call still happens and every draw is still taken; only
+the arithmetic of a repeated call is skipped. A failing call stores nothing,
+and an unhashable stray argument bypasses the memo, so errors are those of an
+unshared state. protocol roots one tree per explicit input, variant and
+channel; every other state has no memo and pays one attribute load per call.
 """
 from __future__ import annotations
 
@@ -125,11 +139,16 @@ class StateVector:
     measure_qubit caches its probability and branches on the instance (outside
     the fields, so eq, repr and dataclasses.replace never see the cache), and
     writing to amplitudes in place after a measurement would leave that cache
-    stale. The branches it returns have read-only amplitudes.
+    stale. The branches it returns have read-only amplitudes. A node of a
+    shared run tree (see the module docstring) also memoizes the results of
+    the other primitives on itself; it and every result it hands out are
+    read-only and may be handed to many runs, such as a report's final_state.
     """
 
     labels: tuple[str, ...]
     amplitudes: np.ndarray
+    # Not a field: a node of a shared run tree sets its own in its __dict__.
+    _memo = None
 
     @property
     def n_qubits(self) -> int:
@@ -170,6 +189,31 @@ def _readonly(a: np.ndarray | None) -> np.ndarray | None:
     return a
 
 
+def _shared(node: StateVector | np.ndarray) -> StateVector | np.ndarray:
+    """Make a result a node of a shared run tree: read-only, and a state gets a memo."""
+    if isinstance(node, np.ndarray):
+        return _readonly(node)
+    _readonly(node.amplitudes)
+    node.__dict__["_memo"] = {}
+    return node
+
+
+def _recall(memo: dict, key: object) -> StateVector | np.ndarray | None:
+    """The memoized result for key; None on a miss or for an unhashable stray key,
+    which the caller's own checks then reject as on an unshared state."""
+    try:
+        return memo.get(key)
+    except TypeError:
+        return None
+
+
+def _remember(memo: dict, key: object, out: StateVector | np.ndarray) -> StateVector | np.ndarray:
+    """Store a computed result under key as a node of the shared tree. A call
+    that passed its checks has a hashable key: a tree's labels are all str."""
+    memo[key] = _shared(out)
+    return out
+
+
 def _norm(x: np.ndarray) -> np.floating:
     """np.linalg.norm of a complex array, the same expression without its wrapper."""
     flat = x.reshape(-1)
@@ -182,7 +226,13 @@ _KET0 = _readonly(np.array([1.0, 0.0], dtype=complex))
 
 
 def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] | np.ndarray = _KET0) -> StateVector:
-    """Append one unentangled qubit with the given single-qubit amplitudes."""
+    """Append one unentangled qubit with the given single-qubit amplitudes.
+
+    The label must be a str: a shared run tree keys results by label, and
+    1, 1.0 and True are equal keys that would name different qubits.
+    """
+    if not isinstance(label, str):
+        raise ValueError(f"qubit label must be a str, got {label!r}")
     if label in state.labels:
         raise ValueError(f"label {label!r} already in register")
     if state.n_qubits + 1 > MAX_QUBITS:
@@ -196,11 +246,18 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
         a, b = vec.tolist()
         if abs(a.real) > 2.0 or abs(a.imag) > 2.0 or abs(b.real) > 2.0 or abs(b.imag) > 2.0:
             raise ValueError(f"qubit amplitudes not normalized: a part of ({a}, {b}) exceeds 2")
+    memo = state._memo
+    if memo is not None:
+        key = ("extend", label, None if vec is _KET0 else vec.tobytes())
+        if (hit := _recall(memo, key)) is not None:
+            return hit
+    if vec is not _KET0:
         nrm = _norm(vec)
         if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
             raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
         vec = vec / nrm
-    return StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec).reshape(-1))
+    out = StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec).reshape(-1))
+    return out if memo is None else _remember(memo, key, out)
 
 
 # n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
@@ -251,11 +308,16 @@ def _hadamard(state: StateVector, k: int) -> StateVector:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    memo = state._memo
+    if memo is not None and (hit := _recall(memo, gate)) is not None:
+        return hit
     if gate.kind is GateKind.CNOT:
         c = state.axis(gate.targets[0])
         t = state.axis(gate.targets[1])
-        return _permuted(state, _cnot_perm(state.n_qubits, c, t), None)
-    return _hadamard(state, state.axis(gate.targets[0]))
+        out = _permuted(state, _cnot_perm(state.n_qubits, c, t), None)
+    else:
+        out = _hadamard(state, state.axis(gate.targets[0]))
+    return out if memo is None else _remember(memo, gate, out)
 
 
 def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
@@ -263,12 +325,16 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
 
     The identity returns a register that shares the input's amplitudes.
     """
+    memo = state._memo
+    if memo is not None and (hit := _recall(memo, key := ("pauli", op, target))) is not None:
+        return hit
     k = state.axis(target)
     try:
         kernel = _pauli_kernel(state.n_qubits, k, op)
     except TypeError:
         raise ValueError(f"not a PauliOp: {op!r}") from None
-    return _permuted(state, *kernel)
+    out = _permuted(state, *kernel)
+    return out if memo is None else _remember(memo, key, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,6 +355,9 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
     with q1 as the more significant ket position. Only the q1 = q2 = 0 slice is
     read; the check bounds what lies outside it to NORM_TOL in probability.
     """
+    memo = state._memo
+    if memo is not None and (hit := _recall(memo, key := ("bell", q1, q2, label))) is not None:
+        return hit
     a1, a2 = state.axis(q1), state.axis(q2)
     if a1 == a2:
         raise ValueError("pair members must differ")
@@ -302,8 +371,8 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
         table = _bell_table(label, a1 < a2)
     except TypeError:
         raise ValueError(f"not a BellLabel: {label!r}") from None
-    out = view[:, :1, :, :1] * table
-    return StateVector(state.labels, out.reshape(-1))
+    out = StateVector(state.labels, (view[:, :1, :, :1] * table).reshape(-1))
+    return out if memo is None else _remember(memo, key, out)
 
 
 def _split(state: StateVector, k: int) -> np.ndarray:
@@ -344,6 +413,8 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
             raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
         out /= nrm  # the same division as out / nrm, without a second array
         branch = entry[2 + outcome] = StateVector(state.labels, _readonly(out).reshape(-1))
+        if state._memo is not None:
+            _shared(branch)
     return outcome, branch
 
 
@@ -353,6 +424,9 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
     Used for measured-out ancillas and for delivered outputs; raises if the
     qubit is still entangled (a protocol logic bug, not a physics outcome).
     """
+    memo = state._memo
+    if memo is not None and (hit := _recall(memo, key := ("drop", label))) is not None:
+        return hit
     if state.n_qubits == 1:
         raise ValueError("cannot drop the last qubit of a register")
     k = state.axis(label)
@@ -363,13 +437,15 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
         other = view[:, 1 - bit]
         if not other.any() or (np.abs(other) ** 2).sum() < NORM_TOL**2:
             rest = view[:, bit].reshape(-1)
-            return StateVector(labels, rest / _norm(rest))
-    psi = view.transpose(1, 0, 2).reshape(2, -1)
-    evals, evecs = np.linalg.eigh(psi @ psi.conj().T)
-    if evals[-1] < 1.0 - 1e-9:
-        raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
-    rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
-    return StateVector(labels, rest / _norm(rest))
+            break
+    else:
+        psi = view.transpose(1, 0, 2).reshape(2, -1)
+        evals, evecs = np.linalg.eigh(psi @ psi.conj().T)
+        if evals[-1] < 1.0 - 1e-9:
+            raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
+        rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
+    out = StateVector(labels, rest / _norm(rest))
+    return out if memo is None else _remember(memo, key, out)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -384,6 +460,9 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> np.ndarray:
     """Partial trace down to the kept labels, in the order given, as a matrix."""
     keep = tuple(keep)
+    memo = state._memo
+    if memo is not None and (hit := _recall(memo, key := ("rho", keep))) is not None:
+        return hit
     if not keep:
         raise ValueError("must keep at least one qubit")
     if len(set(keep)) != len(keep):
@@ -391,7 +470,8 @@ def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> np
     axes = [state.axis(l) for l in keep]
     rest = [i for i in range(state.n_qubits) if i not in axes]
     psi = state.tensor().transpose(axes + rest).reshape(2 ** len(keep), -1)
-    return psi @ psi.conj().T
+    rho = psi @ psi.conj().T
+    return rho if memo is None else _remember(memo, key, rho)
 
 
 def relabel(state: StateVector, old: str, new: str) -> StateVector:

@@ -15,6 +15,16 @@ Three experiments share one register/custody vocabulary:
 All randomness flows through the numpy Generator handed in; a run consumes
 draws only for Haar input sampling and projective measurements, in a fixed
 order, so seeded runs replay exactly.
+
+Independent runs of one explicit input share one run tree. Every baseline or
+two-channel run of an explicit InputSpec evolves the same state until its
+first measurement, and only a few measurement paths exist after it. So such a
+run starts from a register kept on the InputSpec instance, one per variant
+and channel, and the core primitives memoize each branch on it (see core):
+the first run that reaches a branch computes it, later runs make the same
+calls and draws and get the same read-only states back. A report's
+final_state may then be shared by many runs. Haar inputs and single-channel
+streams never repeat a state, so they start from a fresh register.
 """
 from __future__ import annotations
 
@@ -45,6 +55,7 @@ from .core import (
     prepare_bell,
     reduced_density,
     relabel,
+    _shared,
 )
 
 
@@ -233,6 +244,24 @@ class RunReport:
         }
 
 
+def _start(spec: InputSpec, variant: Variant, channel: BellLabel, labels: tuple[str, ...]) -> StateVector:
+    """The empty register an independent run starts from.
+
+    For an explicit input it is the root of the run tree of (variant, channel),
+    kept in the spec's __dict__ outside the dataclass fields, so the tree lives
+    as long as the spec and eq, repr and replace never see it. Haar inputs and
+    stray arguments get a fresh register, and the run's own checks reject the
+    strays as before.
+    """
+    if not isinstance(spec, InputSpec) or spec.random or not isinstance(channel, BellLabel):
+        return new_register(labels)
+    roots = spec.__dict__.setdefault("_roots", {})
+    root = roots.get((variant, channel))
+    if root is None:
+        root = roots[variant, channel] = _shared(new_register(labels))
+    return root
+
+
 PairInterceptor = Callable[[StateVector, Custody, str, str, np.random.Generator], StateVector]
 MessageInterceptor = Callable[[StateVector, Custody, str], None]
 
@@ -287,7 +316,7 @@ def run_op_baseline(
     ledger = ledger if ledger is not None else Ledger()
     before = replace(ledger)
 
-    state = prepare_bell(new_register(("A", "B")), "A", "B", channel)
+    state = prepare_bell(_start(input_spec, Variant.OP, channel, ("A", "B")), "A", "B", channel)
     ledger.epr_pairs_created += 1
     custody = Custody({"A": Party.ALICE, "B": Party.BOB})
 
@@ -409,7 +438,7 @@ def run_two_channel_aqt(
     ledger = ledger if ledger is not None else Ledger()
     before = replace(ledger)
 
-    state = new_register(("A", "B", "MA", "MB"))
+    state = _start(input_spec, Variant.TWO_CHANNEL, teleport_channel, ("A", "B", "MA", "MB"))
     state = prepare_bell(state, "A", "B", teleport_channel)
     state = prepare_bell(state, "MA", "MB", MESSAGE_CHANNEL)
     ledger.epr_pairs_created += 2

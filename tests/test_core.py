@@ -86,6 +86,11 @@ class TestRegisters:
         with pytest.raises(ValueError, match="already"):
             extend(new_register(("A",)), "A")
 
+    @pytest.mark.parametrize("bad", [1, 1.0, True, None, ("B",), ["B"]])
+    def test_extend_takes_only_str_labels(self, bad):
+        with pytest.raises(ValueError, match="must be a str"):
+            extend(new_register(("A",)), bad)
+
 
 class TestGates:
     def test_x_flips_ground_state(self):

@@ -4,6 +4,9 @@ Counting wrappers replace every module-level binding of the counted core
 primitives across the package, the way a tracer that rebinds public names
 sees them. A kernel change that reaches a primitive other than through its
 public name, or that adds or drops a call or a draw, changes these counts.
+Explicit-input runs that replay a spec's shared run tree make the same calls
+and draws as unshared runs; only the arithmetic behind a repeated call is
+skipped.
 """
 
 import functools
@@ -21,6 +24,8 @@ from teleportsim.core import BellLabel, new_register, prepare_bell
 from teleportsim.protocol import (
     Approach,
     InputSpec,
+    Variant,
+    _start,
     run_op_baseline,
     run_single_channel_aqt,
     run_two_channel_aqt,
@@ -81,6 +86,20 @@ def test_qnd_measurement_call_counts(calls, label):
     assert calls == QND_CALLS
 
 
+@pytest.mark.parametrize("label", list(BellLabel))
+def test_qnd_measurement_call_counts_on_a_shared_tree(calls, label):
+    # Repeated QNDs on one node of a shared tree: from the second on, every
+    # call is a memo hit, and each is still made through its public name.
+    root = _start(InputSpec.explicit(0.6, 0.8j), Variant.OP, label, ("A", "B"))
+    state = core.extend(prepare_bell(root, "A", "B", label), "C", (0.6, 0.8j))
+    calls.clear()
+    rng = CountingRng(29)
+    for k in range(1, 13):
+        bell.qnd_bell_measure(state, "A", "C", rng)
+        assert calls == {name: k * n for name, n in QND_CALLS.items()}
+        assert rng.draws == 2 * k
+
+
 def _op(channel, rng):
     for i in range(RUNS):
         run_op_baseline(InputSpec.haar(), channel, rng, run_index=i)
@@ -124,6 +143,33 @@ def test_draws_per_haar_run(calls, case, channel):
     run(channel, rng)
     assert rng.draws == per_run * RUNS
     assert calls["measure_qubit"] == (per_run - 2) * RUNS
+
+
+# Rng draws per explicit-input run: one per measurement. The runs share one
+# spec, so after the first they replay its run tree.
+EXPLICIT_RUNS = 12
+DRAWS_PER_EXPLICIT_RUN = {
+    "op": (run_op_baseline, 4),
+    "dual": (run_two_channel_aqt, 6),
+    "dual.eve-qubit": (message_interception_report, 4),
+}
+
+
+@pytest.mark.parametrize("channel", list(BellLabel))
+@pytest.mark.parametrize("case", list(DRAWS_PER_EXPLICIT_RUN))
+def test_draws_and_calls_per_explicit_run(calls, case, channel):
+    run, per_run = DRAWS_PER_EXPLICIT_RUN[case]
+    for i in range(EXPLICIT_RUNS):  # a fresh spec per run: nothing is replayed
+        run(InputSpec.explicit(0.6, 0.8j), channel, CountingRng(i), run_index=i)
+    unshared = Counter(calls)
+    calls.clear()
+    spec = InputSpec.explicit(0.6, 0.8j)
+    rng = CountingRng(17)
+    for i in range(EXPLICIT_RUNS):
+        run(spec, channel, rng, run_index=i)
+    assert rng.draws == per_run * EXPLICIT_RUNS
+    assert calls["measure_qubit"] == per_run * EXPLICIT_RUNS
+    assert calls == unshared
 
 
 @pytest.mark.parametrize("label", list(BellLabel))

@@ -3,29 +3,51 @@
 Hypothesis drives ``InputSpec.explicit`` and ``extend`` over complex floats
 (NaN, infinities, huge values and subnormals included), ``prepare_bell``
 and ``apply_pauli`` over their enum members and stray values such as the
-members' string values, the other enum, None and unhashable values, and the
-single-channel drivers over stray ``approach`` values. Any other exception,
-or any numpy RuntimeWarning, fails the property.
+members' string values, the other enum, None and unhashable values, the
+single-channel drivers over stray ``approach`` values, and the Bell-layer
+conversions (syndrome bits, two-bit messages, labels) over stray bits,
+indices, labels and messages. Any other exception, or any numpy
+RuntimeWarning, fails the property. A QND measurement of a qubit with itself
+is rejected before any draw, and stray arguments fail on a node of a shared
+run tree exactly as on an unshared copy of it.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from teleportsim.adversary import pair_interception_analysis
+from teleportsim.bell import (
+    SYNDROME_TO_BELL,
+    TwoBitMessage,
+    apply_qnd_circuit,
+    label_to_message,
+    message_to_label,
+    qnd_bell_measure,
+    syndrome_probabilities,
+    syndrome_to_bell,
+)
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
+    Gate,
+    GateKind,
     PauliOp,
+    StateVector,
+    apply_gate,
     apply_pauli,
+    drop_qubit,
     extend,
+    measure_qubit,
     new_register,
     prepare_bell,
+    reduced_density,
 )
-from teleportsim.protocol import Approach, InputSpec, run_single_channel_aqt
+from teleportsim.protocol import Approach, InputSpec, run_op_baseline, run_single_channel_aqt
 
 _PARTS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 2.0, 1.0])
 _COMPLEX = st.builds(complex, _PARTS, _PARTS)
@@ -144,3 +166,153 @@ def test_single_channel_drivers_take_only_approaches(approach):
         assert reports[0].fidelity > 1.0 - 1e-12
     leaks = _strict(pair_interception_analysis, spec, InputSpec.haar(), approach, BellLabel.PSI_MINUS, 0)
     assert (leaks is not None) == isinstance(approach, Approach)
+
+
+_BITS = st.sampled_from([0, 1])
+
+
+def _is_bit(x):
+    return type(x) is int and x in (0, 1)
+
+
+@given(d=_BITS | _STRAYS, e=_BITS | _STRAYS)
+@example(d=[0], e=1)
+@example(d=0, e={"psi-": 0})
+@example(d=2, e=0)
+def test_syndrome_to_bell_takes_only_bits(d, e):
+    label = _strict(syndrome_to_bell, d, e)
+    # True and 1.0 hash and compare as 1, so they name a syndrome too.
+    try:
+        want = SYNDROME_TO_BELL.get((d, e))
+    except TypeError:
+        want = None
+    assert label is want
+
+
+@given(hi=_BITS | _STRAYS, lo=_BITS | _STRAYS)
+@example(hi=True, lo=0)
+@example(hi=1.0, lo=0)
+@example(hi=0, lo=[1])
+def test_two_bit_message_takes_only_int_bits(hi, lo):
+    msg = _strict(TwoBitMessage, hi, lo)
+    assert (msg is not None) == (_is_bit(hi) and _is_bit(lo))
+    if msg is not None:
+        assert str(msg) == f"{hi}{lo}"
+
+
+@given(index=st.integers(-2, 5) | _STRAYS)
+@example(index=1.0)
+@example(index=True)
+@example(index=[1])
+def test_message_from_index_takes_only_ints(index):
+    msg = _strict(TwoBitMessage.from_index, index)
+    assert (msg is not None) == (type(index) is int and 0 <= index < 4)
+    if msg is not None:
+        assert msg.index == index
+
+
+@given(label=st.sampled_from(BellLabel) | st.sampled_from(PauliOp) | _STRAYS)
+@example(label=["psi-"])
+@example(label="psi-")
+@example(label=np.zeros(2))
+def test_label_to_message_takes_only_bell_labels(label):
+    msg = _strict(label_to_message, label)
+    assert (msg is not None) == isinstance(label, BellLabel)
+    if msg is not None:
+        assert message_to_label(msg) is label
+
+
+@given(msg=st.builds(TwoBitMessage, _BITS, _BITS) | _STRAYS)
+@example(msg="01")
+@example(msg=(0, 1))
+@example(msg=[0, 1])
+def test_message_to_label_takes_only_messages(msg):
+    label = _strict(message_to_label, msg)
+    assert (label is not None) == isinstance(msg, TwoBitMessage)
+    if label is not None:
+        assert label_to_message(label) == msg
+
+
+@pytest.mark.parametrize("label", list(BellLabel))
+@pytest.mark.parametrize("q", ["A", "B", "C"])
+def test_qnd_of_a_qubit_with_itself_is_rejected_before_any_draw(label, q):
+    state = extend(prepare_bell(new_register(("A", "B")), "A", "B", label), "C", (0.6, 0.8j))
+    rng = np.random.default_rng(3)
+    untouched = rng.bit_generator.state
+    assert _strict(qnd_bell_measure, state, q, q, rng) is None
+    assert rng.bit_generator.state == untouched
+    assert _strict(syndrome_probabilities, state, q, q) is None
+    assert _strict(apply_qnd_circuit, extend(extend(state, "D"), "E"), q, q, "D", "E") is None
+
+
+def _outcome(call, *args):
+    """("ok", result) of call(*args), or the type and message of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", call(*args)
+        except Exception as exc:  # compared, not swallowed
+            return type(exc), str(exc)
+
+
+def _same(a, b):
+    if a[0] != "ok" or b[0] != "ok":
+        return a == b
+    a, b = a[1], b[1]
+    if isinstance(a, tuple):  # (outcome, state) of a measurement
+        return a[0] == b[0] and _same(("ok", a[1]), ("ok", b[1]))
+    if isinstance(a, StateVector):
+        return a.labels == b.labels and np.array_equal(a.amplitudes, b.amplitudes)
+    return np.array_equal(a, b)
+
+
+def _stray_calls(stray, seed):
+    """Each primitive with the stray in each argument position, the others valid,
+    as functions of the state; measurements get a fresh generator on every call."""
+
+    def rng():
+        return np.random.default_rng(seed)
+
+    def fresh_pair(s):
+        return extend(extend(s, "P"), "Q")
+
+    return {
+        "extend label": lambda s: extend(s, stray),
+        "extend amplitudes": lambda s: extend(s, "R", stray),
+        "apply_pauli op": lambda s: apply_pauli(s, stray, "B"),
+        "apply_pauli target": lambda s: apply_pauli(s, PauliOp.XZ, stray),
+        "apply_gate gate": lambda s: apply_gate(s, stray),
+        "apply_gate target": lambda s: apply_gate(s, Gate(GateKind.HADAMARD, (stray,))),
+        "drop_qubit": lambda s: drop_qubit(s, stray),
+        "reduced_density keep": lambda s: reduced_density(s, stray),
+        "reduced_density label": lambda s: reduced_density(s, ("B", stray)),
+        "prepare_bell qubit": lambda s: prepare_bell(fresh_pair(s), stray, "Q", BellLabel.PHI_PLUS),
+        "prepare_bell label": lambda s: prepare_bell(fresh_pair(s), "P", "Q", stray),
+        "measure_qubit": lambda s: measure_qubit(s, stray, rng()),
+        "qnd_bell_measure q2": lambda s: qnd_bell_measure(fresh_pair(s), "B", stray, rng()),
+        "qnd_bell_measure q1": lambda s: qnd_bell_measure(fresh_pair(s), stray, "Q", rng()),
+    }
+
+
+@given(stray=_STRAYS, seed=st.integers(0, 3))
+@example(stray=["B"], seed=0)
+@example(stray="B", seed=1)
+@example(stray=np.zeros(2), seed=2)
+@example(stray=None, seed=3)
+def test_strays_fail_on_a_shared_state_as_on_an_unshared_copy(stray, seed):
+    """A shared run tree's memo never changes an error: an unhashable memo key
+    would raise TypeError before the primitive's own check, and a stored result
+    must never answer a call that fails on an unshared state."""
+    spec = InputSpec.explicit(0.6, 0.8j)
+    for i in range(4):
+        report = run_op_baseline(spec, BellLabel.PSI_MINUS, np.random.default_rng(i), run_index=i)
+    # A one-qubit final state and a three-qubit node grown from it, both shared.
+    shared = extend(report.final_state, "C", (0.6, 0.8))
+    shared = apply_gate(extend(shared, "A"), Gate.cnot("C", "A"))
+    assert "_memo" in shared.__dict__
+    for node in (report.final_state, shared):
+        fresh = StateVector(node.labels, node.amplitudes.copy())
+        for name, call in _stray_calls(stray, seed).items():
+            want = _outcome(call, fresh)
+            for _ in range(2):  # the second call meets what the first stored
+                assert _same(_outcome(call, node), want), name
