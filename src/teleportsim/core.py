@@ -27,6 +27,20 @@ under np.array_equal to the gate-by-gate tensordot/moveaxis/kron
 formulation (tests/test_kernels.py holds that reference), so seeded reports
 stay byte for byte the same; only signed zeros may differ.
 
+Dropping decides from what the engine already knows. Each branch measure_qubit
+computes records that its target now sits in |outcome> (a "_basis" dict of
+label -> bit on the instance, outside the dataclass fields), together with
+its parent's records, and drop_qubit hands the records of the kept qubits on.
+A recorded qubit's other half is exact zeros: it was assigned 0.0 and divided
+by a finite norm, and slicing or contracting another qubit away keeps zeros
+zero. So dropping it is one slice and one renormalization, the result the
+basis-state search below would find. No other primitive, and no
+dataclasses.replace, makes a state with a record. For an unrecorded qubit,
+drop_qubit first builds the rho its eigh path needs and runs the two
+basis-state sums, in their old order, only when a diagonal entry of rho is
+below 2 * NORM_TOL**2 or NaN: rho's diagonal and the sums agree far inside a
+factor 2, so above it both sums fail and eigh takes over with the same rho.
+
 Measurement samples, it does not recompute. measure_qubit keeps the clamped
 P(1) and each collapsed branch of a StateVector per target on that instance,
 so measuring one state K times costs K draws and at most one probability and
@@ -52,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +81,7 @@ PROB_CLAMP = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
+_HT = _H.T  # the right operand of the Hadamard's np.dot, bound once
 
 
 class BellLabel(enum.Enum):
@@ -115,6 +131,10 @@ class Gate:
     targets: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, GateKind):
+            raise ValueError(f"not a GateKind: {self.kind!r}")
+        if not isinstance(self.targets, tuple):
+            raise ValueError(f"gate targets must be a tuple of labels, got {self.targets!r}")
         want = 2 if self.kind is GateKind.CNOT else 1
         if len(self.targets) != want:
             raise ValueError(f"{self.kind.value} takes {want} target(s), got {len(self.targets)}")
@@ -130,25 +150,32 @@ class Gate:
         return cls(GateKind.CNOT, (control, target))
 
 
-@dataclass(frozen=True)
+@dataclass
 class StateVector:
     """Immutable-by-convention state of a labeled register.
 
     amplitudes has shape (2**n,) where n == len(labels); operations return new
-    instances rather than mutating in place. The convention is load-bearing:
-    measure_qubit caches its probability and branches on the instance (outside
-    the fields, so eq, repr and dataclasses.replace never see the cache), and
-    writing to amplitudes in place after a measurement would leave that cache
-    stale. The branches it returns have read-only amplitudes. A node of a
-    shared run tree (see the module docstring) also memoizes the results of
-    the other primitives on itself; it and every result it hands out are
-    read-only and may be handed to many runs, such as a report's final_state.
+    instances rather than mutating in place, and nothing may assign to a
+    field. The class is not frozen, because the primitives build one per
+    call and a frozen __init__ costs more than twice as much; the read-only
+    amplitudes of every cached result are the real guard. The convention is
+    load-bearing: measure_qubit caches its probability and branches on the
+    instance, and records on each branch that its target sits in a basis
+    state, which drop_qubit trusts (see the module docstring). Writing to
+    amplitudes in place would leave both stale. The branches it returns have
+    read-only amplitudes. A node of a shared run tree also memoizes the
+    results of the other primitives on itself; it and every result it hands
+    out are read-only and may be handed to many runs, such as a report's
+    final_state.
     """
 
     labels: tuple[str, ...]
     amplitudes: np.ndarray
-    # Not a field: a node of a shared run tree sets its own in its __dict__.
-    _memo = None
+    # Not fields, so eq, repr and dataclasses.replace never see them; the
+    # primitives set them on the instance.
+    _memo = None  # a node of a shared run tree: its memoized results
+    _measured = None  # measure_qubit's cache, by target
+    _basis = None  # recorded qubits: label -> the bit it sits in
 
     @property
     def n_qubits(self) -> int:
@@ -194,7 +221,7 @@ def _shared(node: StateVector | np.ndarray) -> StateVector | np.ndarray:
     if isinstance(node, np.ndarray):
         return _readonly(node)
     _readonly(node.amplitudes)
-    node.__dict__["_memo"] = {}
+    node._memo = {}
     return node
 
 
@@ -214,11 +241,12 @@ def _remember(memo: dict, key: object, out: StateVector | np.ndarray) -> StateVe
     return out
 
 
-def _norm(x: np.ndarray) -> np.floating:
-    """np.linalg.norm of a complex array, the same expression without its wrapper."""
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a complex array, the same expression without its wrapper;
+    math.sqrt is correctly rounded, as np.sqrt is."""
     flat = x.reshape(-1)
     re, im = flat.real, flat.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 # The default ancilla |0>: already normalized, so extend skips asarray and the norm.
@@ -235,7 +263,7 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
         raise ValueError(f"qubit label must be a str, got {label!r}")
     if label in state.labels:
         raise ValueError(f"label {label!r} already in register")
-    if state.n_qubits + 1 > MAX_QUBITS:
+    if len(state.labels) + 1 > MAX_QUBITS:
         raise ValueError(f"register capped at {MAX_QUBITS} qubits")
     vec = amplitudes
     if vec is not _KET0:
@@ -286,13 +314,6 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return _readonly(index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target)))
 
 
-def _permuted(state: StateVector, perm: np.ndarray | None, sign: np.ndarray | None) -> StateVector:
-    out = state.amplitudes if perm is None else state.amplitudes[perm]
-    if sign is not None:
-        out = out * sign
-    return StateVector(state.labels, out)
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_gather(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(gather, scatter): amplitudes[gather] lists the pairs that differ only in
@@ -301,22 +322,21 @@ def _pair_gather(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(gather), _readonly(np.argsort(gather))
 
 
-def _hadamard(state: StateVector, k: int) -> StateVector:
-    gather, scatter = _pair_gather(state.n_qubits, k)
-    out = np.dot(state.amplitudes[gather].reshape(-1, 2), _H.T).reshape(-1)
-    return StateVector(state.labels, out[scatter])
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     memo = state._memo
     if memo is not None and (hit := _recall(memo, gate)) is not None:
         return hit
-    if gate.kind is GateKind.CNOT:
-        c = state.axis(gate.targets[0])
-        t = state.axis(gate.targets[1])
-        out = _permuted(state, _cnot_perm(state.n_qubits, c, t), None)
+    try:
+        kind, targets = gate.kind, gate.targets
+    except AttributeError:
+        raise ValueError(f"not a Gate: {gate!r}") from None
+    n = len(state.labels)
+    if kind is GateKind.CNOT:
+        amps = state.amplitudes[_cnot_perm(n, state.axis(targets[0]), state.axis(targets[1]))]
     else:
-        out = _hadamard(state, state.axis(gate.targets[0]))
+        gather, scatter = _pair_gather(n, state.axis(targets[0]))
+        amps = np.dot(state.amplitudes[gather].reshape(-1, 2), _HT).reshape(-1)[scatter]
+    out = StateVector(state.labels, amps)
     return out if memo is None else _remember(memo, gate, out)
 
 
@@ -330,10 +350,13 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
         return hit
     k = state.axis(target)
     try:
-        kernel = _pauli_kernel(state.n_qubits, k, op)
+        perm, sign = _pauli_kernel(len(state.labels), k, op)
     except TypeError:
         raise ValueError(f"not a PauliOp: {op!r}") from None
-    out = _permuted(state, *kernel)
+    amps = state.amplitudes if perm is None else state.amplitudes[perm]
+    if sign is not None:
+        amps = amps * sign
+    out = StateVector(state.labels, amps)
     return out if memo is None else _remember(memo, key, out)
 
 
@@ -392,12 +415,17 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     outcome is drawn, and cached on the instance outside its dataclass fields;
     later calls return the same branch object, whose amplitudes are read-only.
     A degenerate branch is not cached, so every call that draws it raises.
+    A branch records that target sits in |outcome>, with the state's own
+    records (see the module docstring).
     """
-    cache = state.__dict__.get("_measured")
+    cache = state._measured
     if cache is None:
-        cache = state.__dict__["_measured"] = {}
+        cache = state._measured = {}
     # [clamped P(1), the (2**k, 2, rest) view, branch for outcome 0, branch for outcome 1]
-    entry = cache.get(target)
+    try:
+        entry = cache.get(target)
+    except TypeError:  # an unhashable stray, which state.axis rejects
+        entry = None
     if entry is None:
         view = _split(state, state.axis(target))
         p1 = float((np.abs(view[:, 1]) ** 2).sum())
@@ -413,9 +441,16 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
             raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
         out /= nrm  # the same division as out / nrm, without a second array
         branch = entry[2 + outcome] = StateVector(state.labels, _readonly(out).reshape(-1))
+        if nrm < math.inf:  # else the division may not have kept the zeros zero
+            basis = state._basis
+            branch._basis = {**basis, target: outcome} if basis else {target: outcome}
         if state._memo is not None:
             _shared(branch)
     return outcome, branch
+
+
+# Below this, a diagonal entry of rho may come from a half whose mass is under NORM_TOL**2.
+_DIAG_MIN = 2.0 * NORM_TOL**2
 
 
 def drop_qubit(state: StateVector, label: str) -> StateVector:
@@ -423,28 +458,37 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
 
     Used for measured-out ancillas and for delivered outputs; raises if the
     qubit is still entangled (a protocol logic bug, not a physics outcome).
+    A qubit that sits in a basis state is sliced out; a recorded one without
+    any test (see the module docstring).
     """
     memo = state._memo
     if memo is not None and (hit := _recall(memo, key := ("drop", label))) is not None:
         return hit
-    if state.n_qubits == 1:
+    labels = state.labels
+    if len(labels) == 1:
         raise ValueError("cannot drop the last qubit of a register")
-    k = state.axis(label)
+    k = state.axis(label)  # before the record lookup, which an unhashable stray would fail
     view = _split(state, k)
-    labels = state.labels[:k] + state.labels[k + 1 :]
-    # Fast path: qubit already collapsed onto a basis state.
-    for bit in (0, 1):
-        other = view[:, 1 - bit]
-        if not other.any() or (np.abs(other) ** 2).sum() < NORM_TOL**2:
-            rest = view[:, bit].reshape(-1)
-            break
-    else:
+    basis = state._basis
+    bit = None if basis is None else basis.get(label)
+    if bit is None:
         psi = view.transpose(1, 0, 2).reshape(2, -1)
-        evals, evecs = np.linalg.eigh(psi @ psi.conj().T)
+        rho = psi @ psi.conj().T
+        if not (rho.item(0).real >= _DIAG_MIN and rho.item(3).real >= _DIAG_MIN):
+            for b in (0, 1):
+                if (np.abs(view[:, 1 - b]) ** 2).sum() < NORM_TOL**2:
+                    bit = b
+                    break
+    if bit is not None:
+        rest = view[:, bit].reshape(-1)
+    else:
+        evals, evecs = np.linalg.eigh(rho)
         if evals[-1] < 1.0 - 1e-9:
             raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
         rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
-    out = StateVector(labels, rest / _norm(rest))
+    out = StateVector(labels[:k] + labels[k + 1 :], rest / _norm(rest))
+    if basis is not None and (kept := {q: b for q, b in basis.items() if q != label}):
+        out._basis = kept
     return out if memo is None else _remember(memo, key, out)
 
 
@@ -459,15 +503,18 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> np.ndarray:
     """Partial trace down to the kept labels, in the order given, as a matrix."""
-    keep = tuple(keep)
+    try:
+        keep = tuple(keep)
+    except TypeError:
+        raise ValueError(f"keep must be a sequence of labels, got {keep!r}") from None
     memo = state._memo
     if memo is not None and (hit := _recall(memo, key := ("rho", keep))) is not None:
         return hit
     if not keep:
         raise ValueError("must keep at least one qubit")
-    if len(set(keep)) != len(keep):
+    axes = [state.axis(l) for l in keep]  # before the duplicate test, so unhashable strays fail here
+    if len(set(axes)) != len(axes):
         raise ValueError(f"duplicate labels in {keep}")
-    axes = [state.axis(l) for l in keep]
     rest = [i for i in range(state.n_qubits) if i not in axes]
     psi = state.tensor().transpose(axes + rest).reshape(2 ** len(keep), -1)
     rho = psi @ psi.conj().T

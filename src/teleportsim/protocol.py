@@ -29,7 +29,7 @@ streams never repeat a state, so they start from a fresh register.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -101,6 +101,10 @@ class Ledger:
     qubits_transmitted: int = 0
     classical_bits_transmitted: int = 0
 
+    def copy(self) -> "Ledger":
+        """A snapshot; the plain constructor, cheaper than dataclasses.replace."""
+        return Ledger(self.epr_pairs_created, self.qubits_transmitted, self.classical_bits_transmitted)
+
     def delta(self, since: "Ledger") -> "Ledger":
         return Ledger(
             self.epr_pairs_created - since.epr_pairs_created,
@@ -130,7 +134,7 @@ class Custody:
     def holder(self, label: str) -> Party | InFlight:
         try:
             return self._holders[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable stray
             raise ValueError(f"no custody record for {label!r}") from None
 
     def assign(self, label: str, party: Party) -> None:
@@ -182,8 +186,11 @@ class InputSpec:
 
     def __post_init__(self) -> None:
         if not self.random:
+            try:
+                parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
+            except AttributeError:
+                raise ValueError(f"input amplitudes must be numbers, got ({self.alpha!r}, {self.beta!r})") from None
             # A part above 2 can never normalize; rejected before squaring, which overflows.
-            parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
             if any(abs(p) > 2.0 for p in parts):
                 raise ValueError(f"input amplitudes not normalized: a part of ({self.alpha}, {self.beta}) exceeds 2")
             nrm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
@@ -273,7 +280,11 @@ def _alice_measures(
 
     Returns the resolved input amplitudes, her result and the register.
     """
-    amplitudes = spec.resolve(rng)
+    try:
+        resolve = spec.resolve
+    except AttributeError:
+        raise ValueError(f"input must be an InputSpec, got {spec!r}") from None
+    amplitudes = resolve(rng)
     # Charles is a state-preparation step; his handoff is not a counted transmission.
     state = extend(state, "C", amplitudes)
     custody.assign("C", Party.ALICE)
@@ -314,7 +325,7 @@ def run_op_baseline(
 ) -> RunReport:
     """One run of the baseline protocol: destroy the pair, send two bits."""
     ledger = ledger if ledger is not None else Ledger()
-    before = replace(ledger)
+    before = ledger.copy()
 
     state = prepare_bell(_start(input_spec, Variant.OP, channel, ("A", "B")), "A", "B", channel)
     ledger.epr_pairs_created += 1
@@ -358,8 +369,12 @@ def run_single_channel_aqt(
     """
     if not isinstance(approach, Approach):
         raise ValueError(f"not an Approach: {approach!r}")
+    try:
+        inputs = iter(inputs)
+    except TypeError:
+        raise ValueError(f"inputs must be a sequence of InputSpecs, got {inputs!r}") from None
     ledger = ledger if ledger is not None else Ledger()
-    before = replace(ledger)
+    before = ledger.copy()
     variant = _APPROACH_VARIANT[approach]
 
     state = prepare_bell(new_register(("A", "B")), "A", "B", initial_channel)
@@ -416,7 +431,7 @@ def run_single_channel_aqt(
         state = drop_qubit(state, "out")
         custody.drop("out")
         channel = channel_after
-        before = replace(ledger)
+        before = ledger.copy()
     return reports
 
 
@@ -436,7 +451,7 @@ def run_two_channel_aqt(
     destructive, so the run aborts).
     """
     ledger = ledger if ledger is not None else Ledger()
-    before = replace(ledger)
+    before = ledger.copy()
 
     state = _start(input_spec, Variant.TWO_CHANNEL, teleport_channel, ("A", "B", "MA", "MB"))
     state = prepare_bell(state, "A", "B", teleport_channel)

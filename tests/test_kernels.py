@@ -6,9 +6,15 @@ extend, np.take plus index lists for measurement and dropping, and the
 H/CNOT/Z/X gate sequence for preparing a Bell pair. The kernels must return
 amplitudes equal under np.array_equal (which equates signed zeros), so every
 seeded report stays byte-identical.
+
+old_drop_qubit is drop_qubit as it was before measurements recorded their
+targets: the basis-state search in its old order, then eigh. Dropping a
+recorded qubit, and the rho-first decision on an unrecorded one, must equal it
+byte for byte, sign bits and NaN included.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +138,27 @@ def ref_drop_qubit(state, label):
         raise ValueError("entangled")
     rest = np.tensordot(arr, evecs[:, -1].conj(), axes=([k], [0])).reshape(-1)
     return rest / np.linalg.norm(rest)
+
+
+def old_drop_qubit(state, label):
+    if state.n_qubits == 1:
+        raise ValueError("cannot drop the last qubit of a register")
+    k = state.axis(label)
+    view = state.amplitudes.reshape(2**k, 2, -1)
+    labels = state.labels[:k] + state.labels[k + 1 :]
+    for bit in (0, 1):
+        other = view[:, 1 - bit]
+        if not other.any() or (np.abs(other) ** 2).sum() < NORM_TOL**2:
+            rest = view[:, bit].reshape(-1)
+            break
+    else:
+        psi = view.transpose(1, 0, 2).reshape(2, -1)
+        evals, evecs = np.linalg.eigh(psi @ psi.conj().T)
+        if evals[-1] < 1.0 - 1e-9:
+            raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
+        rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
+    flat = rest.reshape(-1)
+    return StateVector(labels, rest / np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)))
 
 
 def ref_prepare_bell(state, q1, q2, label):
@@ -374,3 +401,132 @@ def test_measurement_branches_are_per_target_and_per_instance(n, seed, sparse):
             assert got == want
         else:
             assert got[0] == want[0] and np.array_equal(got[1].amplitudes, want[1])
+
+
+def signed_zeros(amps, rng):
+    """amps with every zero part given a random sign."""
+    amps = amps.copy()
+    for part in (amps.real, amps.imag):
+        zero = part == 0.0
+        part[zero] = np.where(rng.random(amps.shape) < 0.5, -0.0, 0.0)[zero]
+    return amps
+
+
+def drop_bits(drop, state, label):
+    """drop(state, label) as comparable bytes, or the type and message of what it
+    raised; numpy's warnings are silenced so that NaN results compare too."""
+    with np.errstate(all="ignore"):
+        try:
+            out = drop(state, label)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+    return out.labels, out.amplitudes.tobytes()
+
+
+def assert_drop_matches_old(state, label):
+    assert drop_bits(drop_qubit, state, label) == drop_bits(old_drop_qubit, state, label)
+
+
+# One step of a walk: measure the qubit at an index, or drop the recorded qubit at an index.
+STEPS = st.lists(st.tuples(st.sampled_from(["measure", "drop"]), st.integers(0, 6)), min_size=1, max_size=10)
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, sparse=st.booleans(), draw_seed=SEEDS, steps=STEPS)
+def test_recorded_drops_match_old_drop(n, seed, sparse, draw_seed, steps):
+    """Along a random walk of measurements and drops, every recorded qubit of
+    every state sits in its recorded bit with an exactly zero other half, and
+    dropping it equals the old search byte for byte."""
+    rng = np.random.default_rng(draw_seed)
+    state = StateVector(labels_for(n), signed_zeros(random_amplitudes(2**n, rng, sparse), rng))
+    want = {}
+    for kind, i in steps:
+        if kind == "measure":
+            label = state.labels[i % len(state.labels)]
+            try:
+                outcome, state = measure_qubit(state, label, rng)
+            except ValueError:
+                return
+            want[label] = outcome
+        elif want and len(state.labels) > 1:
+            label = sorted(want)[i % len(want)]
+            assert_drop_matches_old(state, label)
+            state = drop_qubit(state, label)
+            del want[label]
+        assert (state._basis or {}) == want
+        for label, bit in want.items():
+            view = state.amplitudes.reshape(2 ** state.labels.index(label), 2, -1)
+            assert not view[:, 1 - bit].any()
+            if len(state.labels) > 1:
+                assert_drop_matches_old(state, label)
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(
+    seed=SEEDS,
+    residue=st.floats(1e-25, 4e-24) | st.sampled_from(["zeros", "nan", "nan in the full half"]),
+)
+def test_rho_first_decision_matches_old_check_order(n, seed, residue):
+    """An unrecorded qubit in a basis state plus residue whose mass straddles
+    NORM_TOL**2 and 2 * NORM_TOL**2, signed zeros or NaN: the drop decides as
+    the old check order did and returns the same bytes."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        state = product_state(n, k, seed, collapsed=True)
+        view = state.amplitudes.reshape(2**k, 2, -1).copy()
+        empty = 0 if np.abs(view[:, 0]).sum() == 0 else 1
+        if residue == "zeros":
+            view = signed_zeros(view, rng)
+        elif residue == "nan":
+            view[:, empty].flat[rng.integers(view[:, empty].size)] = complex(math.nan, 0.0)
+        elif residue == "nan in the full half":
+            view[:, 1 - empty].flat[rng.integers(view[:, empty].size)] = complex(0.0, math.nan)
+        else:
+            part = random_amplitudes(view[:, empty].size, rng, False).reshape(2**k, -1)
+            view[:, empty] = part * math.sqrt(residue)
+        state = StateVector(state.labels, view.reshape(-1))
+        assert state._basis is None
+        assert_drop_matches_old(state, state.labels[k])
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:4])
+@given(seed=SEEDS, sparse=st.booleans())
+def test_only_measurements_and_drops_make_records(n, seed, sparse):
+    """Every other primitive returns a state without records, even from a
+    recorded one: its amplitudes no longer keep the recorded zeros."""
+    state = random_state(n, seed, sparse)
+    for label in state.labels:
+        try:
+            _, state = measure_qubit(state, label, FixedDraw(0.5))
+        except ValueError:
+            return
+    assert state._basis is not None and len(state._basis) == n
+    q = state.labels[0]
+    results = [apply_gate(state, Gate.h(q)), extend(state, "new"), extend(state, "new", (0.6, 0.8j))]
+    results += [apply_pauli(state, op, q) for op in PauliOp]
+    results += [relabel(state, q, "renamed"), dataclasses.replace(state)]
+    results += [dataclasses.replace(state, amplitudes=state.amplitudes.copy())]
+    results += [prepare_bell(extend(extend(state, "P"), "Q"), "P", "Q", label) for label in BellLabel]
+    if n > 1:
+        results += [apply_gate(state, Gate.cnot(q, state.labels[1]))]
+    for out in results:
+        assert out._basis is None and "_basis" not in out.__dict__
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, bad=st.sampled_from([1e200, math.inf, math.nan]))
+def test_branches_with_a_non_finite_norm_record_nothing(n, seed, bad):
+    """A branch divided by an infinite or NaN norm may not keep its zeros zero,
+    so it records nothing, and dropping from it is the old search."""
+    amps = random_amplitudes(2**n, np.random.default_rng(seed), False) * 1e200
+    amps[seed % 2**n] = bad
+    state = StateVector(labels_for(n), amps)
+    for label in state.labels:
+        for draw in (0.0, 0.99):
+            with np.errstate(all="ignore"):
+                try:
+                    _, branch = measure_qubit(state, label, FixedDraw(draw))
+                except ValueError:
+                    continue
+            assert branch._basis is None
+            assert_drop_matches_old(branch, label)

@@ -6,8 +6,11 @@ and ``apply_pauli`` over their enum members and stray values such as the
 members' string values, the other enum, None and unhashable values, the
 single-channel drivers over stray ``approach`` values, and the Bell-layer
 conversions (syndrome bits, two-bit messages, labels) over stray bits,
-indices, labels and messages. Any other exception, or any numpy
-RuntimeWarning, fails the property. A QND measurement of a qubit with itself
+indices, labels and messages. ``Gate`` and ``apply_gate`` get stray gate
+kinds, targets and gates; ``measure_qubit``, ``drop_qubit``,
+``reduced_density`` and ``Custody.holder`` stray labels; ``InputSpec`` stray
+amplitudes and the single-channel drivers stray input sequences. Any other
+exception, or any numpy RuntimeWarning, fails the property. A QND measurement of a qubit with itself
 is rejected before any draw, and stray arguments fail on a node of a shared
 run tree exactly as on an unshared copy of it.
 """
@@ -47,7 +50,7 @@ from teleportsim.core import (
     prepare_bell,
     reduced_density,
 )
-from teleportsim.protocol import Approach, InputSpec, run_op_baseline, run_single_channel_aqt
+from teleportsim.protocol import Approach, Custody, InputSpec, Party, run_op_baseline, run_single_channel_aqt
 
 _PARTS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 2.0, 1.0])
 _COMPLEX = st.builds(complex, _PARTS, _PARTS)
@@ -166,6 +169,66 @@ def test_single_channel_drivers_take_only_approaches(approach):
         assert reports[0].fidelity > 1.0 - 1e-12
     leaks = _strict(pair_interception_analysis, spec, InputSpec.haar(), approach, BellLabel.PSI_MINUS, 0)
     assert (leaks is not None) == isinstance(approach, Approach)
+
+
+@given(kind=st.sampled_from(GateKind) | st.sampled_from(PauliOp) | _STRAYS, targets=_STRAYS | st.just(("A", "B")))
+@example(kind="X", targets=("A",))
+@example(kind="CNOT", targets=("A", "B"))
+@example(kind=GateKind.HADAMARD, targets=5)
+@example(kind=GateKind.CNOT, targets={"A": 0, "B": 1})
+def test_gate_takes_only_gate_kinds(kind, targets):
+    gate = _strict(Gate, kind, targets)
+    if not isinstance(kind, GateKind):
+        assert gate is None
+
+
+@given(gate=st.sampled_from([Gate.h("A"), Gate.cnot("A", "B")]) | st.sampled_from(GateKind) | _STRAYS)
+@example(gate="H")
+@example(gate=GateKind.HADAMARD)
+@example(gate=["H"])
+def test_apply_gate_takes_only_gates(gate):
+    state = _strict(apply_gate, new_register(("A", "B")), gate)
+    assert (state is not None) == isinstance(gate, Gate)
+
+
+@given(label=st.sampled_from(["A", "B"]) | _STRAYS)
+@example(label=["A"])
+@example(label={"A": 0})
+@example(label=np.zeros(2))
+def test_label_lookups_take_only_register_labels(label):
+    """A label outside the register, unhashable ones included, raises ValueError."""
+    valid = isinstance(label, str) and label in ("A", "B")
+    state = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PSI_MINUS)
+    _, measured = measure_qubit(state, "A", np.random.default_rng(0))
+    assert (_strict(measure_qubit, state, label, np.random.default_rng(0)) is not None) == valid
+    assert (_strict(drop_qubit, measured, label) is not None) == valid
+    assert (_strict(reduced_density, state, [label]) is not None) == valid
+    assert (_strict(Custody({"A": Party.ALICE, "B": Party.BOB}).holder, label) is not None) == valid
+
+
+@given(keep=_STRAYS)
+@example(keep=[["A"]])
+@example(keep=5)
+@example(keep=None)
+def test_reduced_density_takes_only_label_sequences(keep):
+    _strict(reduced_density, new_register(("A", "B")), keep)
+
+
+@given(alpha=_STRAYS, beta=_STRAYS | st.just(0))
+@example(alpha="x", beta=0)
+@example(alpha=None, beta=0)
+@example(alpha=[1.0], beta=0)
+def test_input_spec_takes_only_numbers(alpha, beta):
+    _strict(InputSpec, alpha, beta)
+
+
+@given(inputs=_STRAYS | st.lists(_STRAYS, min_size=1, max_size=2))
+@example(inputs="ab")
+@example(inputs=["psi-"])
+@example(inputs=5)
+def test_single_channel_drivers_take_only_input_specs(inputs):
+    reports = _strict(run_single_channel_aqt, inputs, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, np.random.default_rng(3))
+    assert reports is None or reports == []
 
 
 _BITS = st.sampled_from([0, 1])

@@ -150,6 +150,31 @@ def test_run_tree_is_bounded_and_freed_with_its_spec(channel):
     assert all(ref() is None for ref in refs)
 
 
+@pytest.mark.parametrize("channel", list(BellLabel))
+def test_recorded_drops_on_a_tree_are_memoized_and_equal_unshared_drops(channel):
+    """Every measured branch of a full tree records its targets. Dropping a
+    recorded qubit from a tree node returns one memoized node, equal byte for
+    byte to dropping it from an unshared, unrecorded copy."""
+    spec = InputSpec.explicit(0.6, 0.8j)
+    for i in range(150):
+        for run in CASES.values():
+            run(spec, channel, _rng(5, i), run_index=i)
+    roots = spec.__dict__["_roots"]
+    assert {key[0]: len(_nodes(root)) for key, root in roots.items()} == TREE_STATES
+    recorded = [s for root in roots.values() for s in _nodes(root) if s._basis]
+    branches = [b for root in roots.values() for s in _nodes(root) for e in (s._measured or {}).values() for b in e[2:]]
+    assert all(b._basis for b in branches if b is not None)
+    for node in recorded:
+        fresh = StateVector(node.labels, node.amplitudes.copy())
+        for label in node._basis:
+            got = drop_qubit(node, label)
+            assert drop_qubit(node, label) is got
+            want = drop_qubit(fresh, label)
+            assert got.labels == want.labels
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert not got.amplitudes.flags.writeable
+
+
 def test_haar_inputs_streams_and_fresh_specs_share_nothing():
     haar = InputSpec.haar()
     a = run_op_baseline(haar, BellLabel.PSI_MINUS, _rng(1, 0))
