@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import SUPERDENSE_ENCODING, TwoBitMessage, qnd_bell_measure, syndrome_probabilities
+from .bell import MESSAGE_CHANNEL, SUPERDENSE_ENCODING, TwoBitMessage, qnd_bell_measure, syndrome_probabilities
 from .core import (
     BellLabel,
     StateVector,
@@ -156,7 +156,7 @@ def pair_interception_analysis(
 
 def message_conditioned_density(msg: TwoBitMessage) -> np.ndarray:
     """Reduced state of the encoded message qubit, conditioned on the message."""
-    state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
+    state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", MESSAGE_CHANNEL)
     state = apply_pauli(state, SUPERDENSE_ENCODING[msg], "MA")
     return reduced_density(state, ("MA",))
 

@@ -29,13 +29,9 @@ from .core import (
     measure_qubit,
 )
 
-# Fixed serialization order; also fixes the label <-> two-bit enumeration.
-BELL_ORDER: tuple[BellLabel, ...] = (
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-)
+# Fixed serialization order, BellLabel's declaration order; also fixes the
+# label <-> two-bit enumeration.
+BELL_ORDER: tuple[BellLabel, ...] = tuple(BellLabel)
 
 # The message pair used for superdense signalling is always prepared as phi+.
 MESSAGE_CHANNEL = BellLabel.PHI_PLUS

@@ -41,26 +41,23 @@ basis-state sums, in their old order, only when a diagonal entry of rho is
 below 2 * NORM_TOL**2 or NaN: rho's diagonal and the sums agree far inside a
 factor 2, so above it both sums fail and eigh takes over with the same rho.
 
-Measurement samples, it does not recompute. measure_qubit keeps the clamped
-P(1) and each collapsed branch of a StateVector per target on that instance,
-so measuring one state K times costs K draws and at most one probability and
-two collapses. This relies on StateVector being immutable: the cached
-branches are handed to every later caller, so their amplitudes are read-only,
-and nothing may write to a register's amplitudes in place.
-
-Shared run trees take the same idea from one measurement to a whole run. A
-state that carries a memo (a "_memo" dict in its __dict__, outside the
-dataclass fields; the class default is None) is a node of a shared tree: prepare_bell, extend,
-apply_gate, apply_pauli, drop_qubit and reduced_density look their result up
-in it by their exact arguments (amplitudes by their bytes, so 0.0 and -0.0
-differ) and compute it only on a miss; the result joins the tree read-only,
-with a memo of its own, as do the branches measure_qubit draws from a shared
-state. A call with the same arguments on the same node therefore returns the
-same object. Every call still happens and every draw is still taken; only
-the arithmetic of a repeated call is skipped. A failing call stores nothing,
-and an unhashable stray argument bypasses the memo, so errors are those of an
-unshared state. protocol roots one tree per explicit input, variant and
-channel; every other state has no memo and pays one attribute load per call.
+Shared run trees are the one cache of derived results. A state that carries
+a memo (a "_memo" dict in its __dict__, outside the dataclass fields; the
+class default is None) is a node of a shared tree: prepare_bell, extend,
+apply_gate, apply_pauli, drop_qubit, reduced_density and measure_qubit look
+their result up in it by their exact arguments (amplitudes by their bytes, so
+0.0 and -0.0 differ) and compute it only on a miss. measure_qubit keeps the
+clamped P(1) and each collapsed branch, the branch the first time its outcome
+is drawn, so measuring a node K times costs K draws and at most one
+probability and two collapses. Every result joins the tree read-only, with a
+memo of its own. A call with the same arguments on the same node therefore
+returns the same object. Every call still happens and every draw is still
+taken; only the arithmetic of a repeated call is skipped. A failing call
+stores nothing, and an unhashable stray argument bypasses the memo, so errors
+are those of an unshared state. This relies on StateVector being immutable:
+nothing may write to a register's amplitudes in place. protocol roots one
+tree per explicit input, variant and channel; every other state has no memo,
+pays one attribute load per call and keeps nothing.
 """
 from __future__ import annotations
 
@@ -158,15 +155,13 @@ class StateVector:
     instances rather than mutating in place, and nothing may assign to a
     field. The class is not frozen, because the primitives build one per
     call and a frozen __init__ costs more than twice as much; the read-only
-    amplitudes of every cached result are the real guard. The convention is
-    load-bearing: measure_qubit caches its probability and branches on the
-    instance, and records on each branch that its target sits in a basis
-    state, which drop_qubit trusts (see the module docstring). Writing to
-    amplitudes in place would leave both stale. The branches it returns have
-    read-only amplitudes. A node of a shared run tree also memoizes the
-    results of the other primitives on itself; it and every result it hands
-    out are read-only and may be handed to many runs, such as a report's
-    final_state.
+    amplitudes of every measured branch and every shared result are the real
+    guard. The convention is load-bearing: measure_qubit records on each
+    branch that its target sits in a basis state, which drop_qubit trusts,
+    and a node of a shared run tree memoizes the results of every primitive
+    on itself (see the module docstring). Writing to amplitudes in place
+    would leave both stale. A node and every result it hands out are
+    read-only and may be handed to many runs, such as a report's final_state.
     """
 
     labels: tuple[str, ...]
@@ -174,7 +169,6 @@ class StateVector:
     # Not fields, so eq, repr and dataclasses.replace never see them; the
     # primitives set them on the instance.
     _memo = None  # a node of a shared run tree: its memoized results
-    _measured = None  # measure_qubit's cache, by target
     _basis = None  # recorded qubits: label -> the bit it sits in
 
     @property
@@ -225,9 +219,10 @@ def _shared(node: StateVector | np.ndarray) -> StateVector | np.ndarray:
     return node
 
 
-def _recall(memo: dict, key: object) -> StateVector | np.ndarray | None:
-    """The memoized result for key; None on a miss or for an unhashable stray key,
-    which the caller's own checks then reject as on an unshared state."""
+def _recall(memo: dict, key: object) -> StateVector | np.ndarray | list | None:
+    """The memoized result (or measure_qubit's entry) for key; None on a miss or
+    for an unhashable stray key, which the caller's own checks then reject as on
+    an unshared state."""
     try:
         return memo.get(key)
     except TypeError:
@@ -410,27 +405,21 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     falls below P(1), with P clamped to {0, 1} inside PROB_CLAMP so repeated
     measurements of a collapsed qubit are deterministic.
 
-    Only the draw depends on the call. The clamped P(1) and each branch are
-    computed once per state instance and target, the branch the first time its
-    outcome is drawn, and cached on the instance outside its dataclass fields;
-    later calls return the same branch object, whose amplitudes are read-only.
-    A degenerate branch is not cached, so every call that draws it raises.
-    A branch records that target sits in |outcome>, with the state's own
-    records (see the module docstring).
+    The returned branch has read-only amplitudes and records that target sits
+    in |outcome>, with the state's own records (see the module docstring). On
+    an unshared state every call computes P(1) and the drawn branch afresh and
+    stores nothing. A node of a shared run tree memoizes both: later calls only
+    draw, and return the same branch object, itself a node of the tree. A
+    degenerate branch is never stored, so every call that draws it raises.
     """
-    cache = state._measured
-    if cache is None:
-        cache = state._measured = {}
+    memo = state._memo
     # [clamped P(1), the (2**k, 2, rest) view, branch for outcome 0, branch for outcome 1]
-    try:
-        entry = cache.get(target)
-    except TypeError:  # an unhashable stray, which state.axis rejects
-        entry = None
-    if entry is None:
+    if memo is None or (entry := _recall(memo, key := ("measure", target))) is None:
         view = _split(state, state.axis(target))
         p1 = float((np.abs(view[:, 1]) ** 2).sum())
-        p1_eff = 1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1)
-        entry = cache[target] = [p1_eff, view, None, None]
+        entry = [1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1), view, None, None]
+        if memo is not None:
+            memo[key] = entry
     outcome = 1 if rng.random() < entry[0] else 0
     branch = entry[2 + outcome]
     if branch is None:
@@ -440,12 +429,12 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
         if nrm < NORM_TOL:
             raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
         out /= nrm  # the same division as out / nrm, without a second array
-        branch = entry[2 + outcome] = StateVector(state.labels, _readonly(out).reshape(-1))
+        branch = StateVector(state.labels, _readonly(out).reshape(-1))
         if nrm < math.inf:  # else the division may not have kept the zeros zero
             basis = state._basis
             branch._basis = {**basis, target: outcome} if basis else {target: outcome}
-        if state._memo is not None:
-            _shared(branch)
+        if memo is not None:
+            entry[2 + outcome] = _shared(branch)
     return outcome, branch
 
 

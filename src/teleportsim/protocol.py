@@ -189,7 +189,10 @@ class InputSpec:
             try:
                 parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
             except AttributeError:
-                raise ValueError(f"input amplitudes must be numbers, got ({self.alpha!r}, {self.beta!r})") from None
+                parts = None
+            # An array, even of one element, passes the attribute test but is no amplitude.
+            if parts is None or getattr(self.alpha, "ndim", 0) or getattr(self.beta, "ndim", 0):
+                raise ValueError(f"input amplitudes must be scalar numbers, got ({self.alpha!r}, {self.beta!r})")
             # A part above 2 can never normalize; rejected before squaring, which overflows.
             if any(abs(p) > 2.0 for p in parts):
                 raise ValueError(f"input amplitudes not normalized: a part of ({self.alpha}, {self.beta}) exceeds 2")

@@ -49,6 +49,7 @@ from .core import (
     new_register,
     prepare_bell,
     reduced_density,
+    _shared,
 )
 from .protocol import (
     Approach,
@@ -142,14 +143,15 @@ def check_measurement_statistics() -> CheckResult:
     rng = np.random.default_rng(13)
     trials = 20000
     alpha, beta = np.cos(0.4), np.sin(0.4) * np.exp(0.9j)
-    base = extend(new_register(("A",)), "Q", (alpha, beta))
+    # Shared states memoize P(1) and both branches, so the trials only draw.
+    base = _shared(extend(new_register(("A",)), "Q", (alpha, beta)))
     p1 = abs(beta) ** 2
     ones = sum(measure_qubit(base, "Q", rng)[0] for _ in range(trials))
     bound = 5.0 * np.sqrt(p1 * (1.0 - p1) / trials)
     dev = abs(ones / trials - p1)
     if not dev < bound:
         return False, f"single-qubit frequency off by {dev:.4f} (>= {bound:.4f})"
-    pair = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PHI_PLUS)
+    pair = _shared(prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PHI_PLUS))
     ones = sum(measure_qubit(pair, "A", rng)[0] for _ in range(trials))
     dev = abs(ones / trials - 0.5)
     bound = 5.0 * np.sqrt(0.25 / trials)

@@ -29,6 +29,7 @@ from teleportsim.core import (
     GateKind,
     PauliOp,
     StateVector,
+    _shared,
     apply_gate,
     apply_pauli,
     drop_qubit,
@@ -115,13 +116,15 @@ class LeadDraws:
     times 0.0, which gives outcome 1, then width times the largest double below
     1, which gives outcome 0, whenever the clamped P(1) lies strictly between 0
     and 1. So the first two rounds over width targets reach both branches of
-    each target."""
+    each target. draws counts the draws taken."""
 
     def __init__(self, seed, width):
         self._lead = [0.0] * width + [float(np.nextafter(1.0, 0.0))] * width
         self._rng = np.random.default_rng(seed)
+        self.draws = 0
 
     def random(self):
+        self.draws += 1
         return self._lead.pop(0) if self._lead else self._rng.random()
 
 
@@ -332,13 +335,22 @@ def test_drop_near_basis_state_matches_reference(n, seed, scale):
 def assert_repeated_measurements_match_reference(state, draw_seed):
     """REPEATS rounds over every target of one state object, each call against a
     fresh reference call on an equally seeded draw stream; returns the outcomes
-    seen per target, "ValueError" standing for a degenerate branch."""
+    seen per target, "ValueError" standing for a degenerate branch.
+
+    Every call takes one draw and returns read-only amplitudes. On a node of a
+    shared run tree each (target, outcome) returns one branch object, itself a
+    node. An unshared state returns a new branch on every call, and keeps no
+    memo and nothing else in its __dict__."""
+    shared = state._memo is not None
+    before = set(state.__dict__)
     rng, ref_rng = LeadDraws(draw_seed, state.n_qubits), LeadDraws(draw_seed, state.n_qubits)
     seen = {label: [] for label in state.labels}
+    returned = {}  # (target, outcome) -> every branch returned for it
     for _ in range(REPEATS):
         for label in state.labels:
             got = outcome_or_error(measure_qubit, state, label, rng)
             want = outcome_or_error(ref_measure_qubit, state, label, ref_rng)
+            assert rng.draws == ref_rng.draws
             if isinstance(want, str):
                 assert got == want
                 seen[label].append(want)
@@ -347,16 +359,26 @@ def assert_repeated_measurements_match_reference(state, draw_seed):
             assert got[1].labels == state.labels
             assert np.array_equal(got[1].amplitudes, want[1])
             assert not got[1].amplitudes.flags.writeable
+            assert (got[1]._memo is not None) == shared
+            returned.setdefault((label, got[0]), []).append(got[1])
             seen[label].append(want[0])
     assert rng.random() == ref_rng.random()
+    for branches in returned.values():
+        assert len({id(b) for b in branches}) == (1 if shared else len(branches))
+    assert set(state.__dict__) == before
+    assert (state._memo is not None) == shared
     return seen
 
 
+SHARING = pytest.mark.parametrize("share", [lambda s: s, _shared], ids=["unshared", "shared"])
+
+
+@SHARING
 @pytest.mark.parametrize("n", QUBIT_COUNTS)
 @given(seed=SEEDS, sparse=st.booleans(), draw_seed=SEEDS)
-def test_repeated_measurement_of_one_state_matches_fresh_reference_calls(n, seed, sparse, draw_seed):
-    # Targets are interleaved, so a cache shared between targets would show.
-    state = random_state(n, seed, sparse)
+def test_repeated_measurement_of_one_state_matches_fresh_reference_calls(share, n, seed, sparse, draw_seed):
+    # Targets are interleaved, so a memo entry shared between targets would show.
+    state = share(random_state(n, seed, sparse))
     seen = assert_repeated_measurements_match_reference(state, draw_seed)
     for label, outcomes in seen.items():
         p1 = ref_p1(state, label)
@@ -364,16 +386,17 @@ def test_repeated_measurement_of_one_state_matches_fresh_reference_calls(n, seed
             assert set(outcomes) == {0, 1}
 
 
+@SHARING
 @pytest.mark.parametrize("n", QUBIT_COUNTS)
 @given(seed=SEEDS, draw_seed=SEEDS)
-def test_degenerate_branch_raises_on_every_call_that_draws_it(n, seed, draw_seed):
+def test_degenerate_branch_raises_on_every_call_that_draws_it(share, n, seed, draw_seed):
     # Qubit k holds all the mass in |1> and the register's norm is 1/sqrt(2), so
     # P(1) is about 1/2 and outcome 0 has nothing to renormalize.
     for k in range(n):
         view = random_state(n, seed, False).amplitudes.reshape(2**k, 2, -1).copy()
         view[:, 0] = 0.0
         view /= np.linalg.norm(view) * np.sqrt(2.0)
-        state = StateVector(labels_for(n), view.reshape(-1))
+        state = share(StateVector(labels_for(n), view.reshape(-1)))
         outcomes = assert_repeated_measurements_match_reference(state, draw_seed)[state.labels[k]]
         assert set(outcomes) == {"ValueError", 1}
 
@@ -381,19 +404,23 @@ def test_degenerate_branch_raises_on_every_call_that_draws_it(n, seed, draw_seed
 @pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
 @given(seed=SEEDS, sparse=st.booleans())
 def test_measurement_branches_are_per_target_and_per_instance(n, seed, sparse):
-    state = random_state(n, seed, sparse)
+    """A node of a shared run tree keeps one branch per target and outcome; a
+    renamed or replaced register starts without the node's memo."""
+    state = _shared(random_state(n, seed, sparse))
     branches = {label: measure_qubit(state, label, FixedDraw(0.0))[1] for label in state.labels}
     assert len({id(b) for b in branches.values()}) == n
     for label in state.labels:
         assert measure_qubit(state, label, FixedDraw(0.0))[1] is branches[label]
-    # A renamed register and a replaced one start without the original's cache.
     renamed = relabel(state, state.labels[0], "r")
+    assert renamed._memo is None
     _, got = measure_qubit(renamed, "r", FixedDraw(0.0))
     _, want = ref_measure_qubit(renamed, "r", FixedDraw(0.0))
     assert got is not branches[state.labels[0]] and np.array_equal(got.amplitudes, want)
+    assert measure_qubit(renamed, "r", FixedDraw(0.0))[1] is not got
     with pytest.raises(ValueError, match="unknown"):
         measure_qubit(renamed, state.labels[0], FixedDraw(0.0))
     other = dataclasses.replace(state, amplitudes=random_state(n, seed + 1, sparse).amplitudes)
+    assert other._memo is None
     for label in state.labels:
         got = outcome_or_error(measure_qubit, other, label, FixedDraw(0.0))
         want = outcome_or_error(ref_measure_qubit, other, label, FixedDraw(0.0))

@@ -222,6 +222,37 @@ def test_input_spec_takes_only_numbers(alpha, beta):
     _strict(InputSpec, alpha, beta)
 
 
+_NUMPY_AMPLITUDES = (
+    st.builds(np.complex128, _COMPLEX)
+    | st.builds(np.float64, _PARTS)
+    | st.builds(np.array, _COMPLEX)
+    | st.builds(np.array, st.lists(_COMPLEX | _PARTS, max_size=3))
+    | st.builds(lambda z: np.full((1, 1), z), _COMPLEX)
+)
+
+
+@given(alpha=_NUMPY_AMPLITUDES | _COMPLEX, beta=_NUMPY_AMPLITUDES | _COMPLEX)
+@example(alpha=np.array([1.0]), beta=0.0)
+@example(alpha=np.array([0.6, 0.8]), beta=0.0)
+@example(alpha=0.6, beta=np.array([0.8j]))
+@example(alpha=np.array(0.6), beta=np.complex128(0.8j))
+@example(alpha=np.float64(1.0), beta=np.array(0j))
+def test_input_spec_rejects_arrays_and_takes_numpy_scalars(alpha, beta):
+    """An array of any shape but () is rejected up front, naming the input; a
+    numpy scalar or 0-d array is taken exactly when its complex value is."""
+    if np.ndim(alpha) or np.ndim(beta):
+        with pytest.raises(ValueError, match=r"^input amplitudes must be scalar numbers, got \(") as info:
+            InputSpec(alpha, beta)
+        assert repr(alpha) in str(info.value) and repr(beta) in str(info.value)
+        return
+    plain = _strict(InputSpec, complex(alpha), complex(beta))
+    spec = _strict(InputSpec, alpha, beta)
+    assert (spec is None) == (plain is None)
+    if spec is not None:
+        got, want = _strict(spec.resolve, None), plain.resolve(None)
+        assert all(np.ndim(z) == 0 and abs(complex(z) - w) <= 1e-15 for z, w in zip(got, want))
+
+
 @given(inputs=_STRAYS | st.lists(_STRAYS, min_size=1, max_size=2))
 @example(inputs="ab")
 @example(inputs=["psi-"])

@@ -107,16 +107,20 @@ def test_shared_tree_runs_equal_unshared_runs(plan, channel, pair, runs, seed):
     assert set(shared.__dict__["_roots"]) == {(v, channel) for v in variants}
 
 
+def _branches(node):
+    """The measured branches memoized on a node: entries [P(1), view, branch 0, branch 1]."""
+    return [b for e in node._memo.values() if isinstance(e, list) for b in e[2:] if b is not None]
+
+
 def _nodes(root):
-    """Every state of a run tree: the memoized results and the measured branches."""
+    """Every state of a run tree: the memoized results, measured branches included."""
     seen = {}
     stack = [root]
     while stack:
         s = stack.pop()
         if id(s) not in seen:
             seen[id(s)] = s
-            stack += [v for v in s.__dict__.get("_memo", {}).values() if isinstance(v, StateVector)]
-            stack += [b for e in s.__dict__.get("_measured", {}).values() for b in e[2:] if b is not None]
+            stack += [v for v in s._memo.values() if isinstance(v, StateVector)] + _branches(s)
     return list(seen.values())
 
 
@@ -162,8 +166,8 @@ def test_recorded_drops_on_a_tree_are_memoized_and_equal_unshared_drops(channel)
     roots = spec.__dict__["_roots"]
     assert {key[0]: len(_nodes(root)) for key, root in roots.items()} == TREE_STATES
     recorded = [s for root in roots.values() for s in _nodes(root) if s._basis]
-    branches = [b for root in roots.values() for s in _nodes(root) for e in (s._measured or {}).values() for b in e[2:]]
-    assert all(b._basis for b in branches if b is not None)
+    branches = [b for root in roots.values() for s in _nodes(root) for b in _branches(s)]
+    assert branches and all(b._basis for b in branches)
     for node in recorded:
         fresh = StateVector(node.labels, node.amplitudes.copy())
         for label in node._basis:
