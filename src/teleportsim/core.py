@@ -219,10 +219,10 @@ def _shared(node: StateVector | np.ndarray) -> StateVector | np.ndarray:
     return node
 
 
-def _recall(memo: dict, key: object) -> StateVector | np.ndarray | list | None:
-    """The memoized result (or measure_qubit's entry) for key; None on a miss or
-    for an unhashable stray key, which the caller's own checks then reject as on
-    an unshared state."""
+def _recall(memo: dict, key: object) -> StateVector | np.ndarray | None:
+    """The memoized result for key; None on a miss or for an unhashable stray
+    key, which the caller's own checks then reject as on an unshared state.
+    measure_qubit inlines the same lookup."""
     try:
         return memo.get(key)
     except TypeError:
@@ -414,7 +414,12 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     """
     memo = state._memo
     # [clamped P(1), the (2**k, 2, rest) view, branch for outcome 0, branch for outcome 1]
-    if memo is None or (entry := _recall(memo, key := ("measure", target))) is None:
+    if memo is not None:
+        try:  # _recall, inlined on this hottest hit path
+            entry = memo.get(key := ("measure", target))
+        except TypeError:  # an unhashable stray target; state.axis rejects it below
+            entry = None
+    if memo is None or entry is None:
         view = _split(state, state.axis(target))
         p1 = float((np.abs(view[:, 1]) ** 2).sum())
         entry = [1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1), view, None, None]

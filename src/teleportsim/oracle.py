@@ -8,8 +8,15 @@ engine by definition: qubit position 0 is the most significant index bit,
 ancillas and delivered qubits append at the end, and a measurement consumes
 one uniform draw with outcome 1 iff the draw falls below P(1) (clamped to
 {0, 1} within 1e-12).
+
+Every constant operator (a lifted H or Pauli, a CNOT matrix, a bit mask) is
+built on first use, once per operator and register size, and kept read-only.
+The arithmetic is unchanged: every product, measurement and slice takes the
+same operands in the same order as when each gate built its own matrix.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,7 +36,9 @@ _HMAT = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQ2
 _XMAT = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _ZMAT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_PAULIS = {
+# The single-qubit matrices the oracle lifts, by name: "H" or a PauliOp.
+_MATRICES = {
+    "H": _HMAT,
     PauliOp.I: np.eye(2, dtype=complex),
     PauliOp.Z: _ZMAT,
     PauliOp.X: _XMAT,
@@ -75,43 +84,56 @@ _LABEL_BITS = {
 }
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # A cached operator is handed to every caller, so none may write to it.
+    a.setflags(write=False)
+    return a
+
+
 def _lift(matrix: np.ndarray, k: int, n: int) -> np.ndarray:
     """The single-qubit matrix acting on qubit k of n: I (x) matrix (x) I."""
     return np.kron(np.kron(np.eye(2**k, dtype=complex), matrix), np.eye(2 ** (n - k - 1), dtype=complex))
 
 
+@functools.lru_cache(maxsize=None)
+def _lifted(name: str | PauliOp, k: int, n: int) -> np.ndarray:
+    """_lift of the named matrix ("H" or a PauliOp), built once and read-only."""
+    return _frozen(_lift(_MATRICES[name], k, n))
+
+
+@functools.lru_cache(maxsize=None)
 def _cnot_matrix(c: int, t: int, n: int) -> np.ndarray:
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         j = i ^ (1 << (n - 1 - t)) if (i >> (n - 1 - c)) & 1 else i
         out[j, i] = 1.0
-    return out
+    return _frozen(out)
 
 
-def _bit_mask(k: int, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _bit_mask(k: int, n: int, bit: int) -> np.ndarray:
+    """The basis indices of n qubits where qubit k reads bit, as a boolean mask."""
     shift = n - 1 - k
-    return np.array([(i >> shift) & 1 for i in range(1 << n)])
+    return _frozen(np.array([((i >> shift) & 1) == bit for i in range(1 << n)]))
 
 
 def _measure(vec: np.ndarray, k: int, n: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    mask = _bit_mask(k, n)
-    p1 = float(np.sum(np.abs(vec[mask == 1]) ** 2))
+    p1 = float(np.sum(np.abs(vec[_bit_mask(k, n, 1)]) ** 2))
     p1_eff = 1.0 if p1 > 1.0 - 1e-12 else (0.0 if p1 < 1e-12 else p1)
     outcome = 1 if rng.random() < p1_eff else 0
     out = vec.copy()
-    out[mask != outcome] = 0.0
+    out[_bit_mask(k, n, 1 - outcome)] = 0.0
     return outcome, out / np.linalg.norm(out)
 
 
 def _slice_out(vec: np.ndarray, k: int, n: int, bit: int) -> np.ndarray:
-    mask = _bit_mask(k, n)
-    out = vec[mask == bit]
+    out = vec[_bit_mask(k, n, bit)]
     return out / np.linalg.norm(out)
 
 
 def _qnd(vec: np.ndarray, q1: int, q2: int, d: int, e: int, n: int) -> np.ndarray:
-    h1, h2 = _lift(_HMAT, q1, n), _lift(_HMAT, q2, n)
+    h1, h2 = _lifted("H", q1, n), _lifted("H", q2, n)
     for op in (
         _cnot_matrix(q1, d, n),
         _cnot_matrix(q2, d, n),
@@ -152,7 +174,7 @@ def op_run(
     c, vec = _measure(vec, 2, 3, rng)
     vec = _slice_out(vec, 2, 3, c)
     vec = _slice_out(vec, 0, 2, a)
-    vec = _lift(_PAULIS[_CORRECTIONS[(channel, label)]], 0, 1) @ vec
+    vec = _lifted(_CORRECTIONS[(channel, label)], 0, 1) @ vec
     return vec, label
 
 
@@ -178,9 +200,9 @@ def single_experiment(
         label2, vec = _qnd_measure(vec, 0, 2, 3, rng)  # receiver side
         if label2 is not label:
             raise RuntimeError(f"repeat QND read {label2.value} after {label.value}")
-        vec = _lift(_PAULIS[_CORRECTIONS[(chan_label, label)]], 1, 3) @ vec
+        vec = _lifted(_CORRECTIONS[(chan_label, label)], 1, 3) @ vec
         if approach is Approach.RESTORE_CHANNEL:
-            vec = _lift(_PAULIS[_RESTORES[(label, initial_channel)]], 0, 3) @ vec
+            vec = _lifted(_RESTORES[(label, initial_channel)], 0, 3) @ vec
             chan_label = initial_channel
         else:
             chan_label = label
@@ -207,14 +229,14 @@ def dual_run(
     vec = _slice_out(vec, 4, 5, c)
     vec = _slice_out(vec, 0, 4, a)
     # (B, MA, MB)
-    vec = _lift(_PAULIS[_ENCODE[_LABEL_BITS[label]]], 1, 3) @ vec
+    vec = _lifted(_ENCODE[_LABEL_BITS[label]], 1, 3) @ vec
     vec = _cnot_matrix(1, 2, 3) @ vec
-    vec = _lift(_HMAT, 1, 3) @ vec
+    vec = _lifted("H", 1, 3) @ vec
     hi, vec = _measure(vec, 1, 3, rng)
     lo, vec = _measure(vec, 2, 3, rng)
     if (hi, lo) != _LABEL_BITS[label]:
         raise RuntimeError(f"superdense decode read {hi}{lo} for {label.value}")
     vec = _slice_out(vec, 2, 3, lo)
     vec = _slice_out(vec, 1, 2, hi)
-    vec = _lift(_PAULIS[_CORRECTIONS[(channel, label)]], 0, 1) @ vec
+    vec = _lifted(_CORRECTIONS[(channel, label)], 0, 1) @ vec
     return vec, label

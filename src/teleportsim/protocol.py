@@ -202,7 +202,13 @@ class InputSpec:
 
     @classmethod
     def explicit(cls, alpha: complex, beta: complex) -> "InputSpec":
-        return cls(complex(alpha), complex(beta), False)
+        try:
+            pair = complex(alpha), complex(beta)
+        except TypeError:
+            raise ValueError(f"input amplitudes must be scalar numbers, got ({alpha!r}, {beta!r})") from None
+        except OverflowError:  # an int beyond float range, as __post_init__ rejects it
+            raise ValueError(f"input amplitudes not normalized: a part of ({alpha}, {beta}) exceeds 2") from None
+        return cls(*pair, False)
 
     @classmethod
     def haar(cls) -> "InputSpec":

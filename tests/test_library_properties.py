@@ -8,11 +8,12 @@ single-channel drivers over stray ``approach`` values, and the Bell-layer
 conversions (syndrome bits, two-bit messages, labels) over stray bits,
 indices, labels and messages. ``Gate`` and ``apply_gate`` get stray gate
 kinds, targets and gates; ``measure_qubit``, ``drop_qubit``,
-``reduced_density`` and ``Custody.holder`` stray labels; ``InputSpec`` stray
-amplitudes and the single-channel drivers stray input sequences. Any other
-exception, or any numpy RuntimeWarning, fails the property. A QND measurement of a qubit with itself
-is rejected before any draw, and stray arguments fail on a node of a shared
-run tree exactly as on an unshared copy of it.
+``reduced_density`` and ``Custody.holder`` stray labels; ``InputSpec`` and
+``InputSpec.explicit`` stray amplitudes and the single-channel drivers stray
+input sequences. Any other exception, or any numpy RuntimeWarning, fails the
+property. A QND measurement of a qubit with itself is rejected before any
+draw, and stray arguments fail on a node of a shared run tree exactly as on an
+unshared copy of it.
 """
 
 import math
@@ -220,6 +221,24 @@ def test_reduced_density_takes_only_label_sequences(keep):
 @example(alpha=[1.0], beta=0)
 def test_input_spec_takes_only_numbers(alpha, beta):
     _strict(InputSpec, alpha, beta)
+
+
+@given(alpha=_STRAYS, beta=_STRAYS | st.just(0))
+@example(alpha="1", beta=0)
+@example(alpha=10**400, beta=0)
+@example(alpha=0.6, beta=[0.8])
+def test_input_spec_explicit_takes_only_numbers(alpha, beta):
+    """A stray amplitude gives a unit spec or ValueError, never complex()'s TypeError."""
+    spec = _strict(InputSpec.explicit, alpha, beta)
+    if spec is not None:
+        assert _is_unit(*_strict(spec.resolve, None))
+
+
+@pytest.mark.parametrize("stray", [None, [1.0], np.array([1.0]), object()])
+def test_input_spec_explicit_names_a_non_number(stray):
+    with pytest.raises(ValueError, match=r"^input amplitudes must be scalar numbers, got \(") as info:
+        InputSpec.explicit(stray, 0)
+    assert repr(stray) in str(info.value)
 
 
 _NUMPY_AMPLITUDES = (

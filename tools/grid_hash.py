@@ -6,10 +6,10 @@
 SOURCE_TREE is a checkout of this repository (default: the one holding this
 script); teleportsim is imported from its src/ directory. One process runs
 `teleportsim run` over op/dual/single-i/single-ii x 4 channels x seeds 0-5 x
-every valid --eve x a Haar and two explicit inputs x json/text, at 25 runs
-each (1008 configs), then `verify` and `tables`. Each output line is
-"<sha256 of stdout> <argv>", so diffing the output of two trees names every
-config whose report changed:
+every valid --eve x a Haar and three explicit inputs (one with signed zeros)
+x json/text, at 25 runs each (1344 configs), then `verify` and `tables`. Each
+output line is "<sha256 of stdout> <exit code> <argv>", so diffing the output
+of two trees names every config whose report or exit code changed:
 
     diff <(python tools/grid_hash.py OLD) <(python tools/grid_hash.py NEW)
 """
@@ -28,7 +28,14 @@ from pathlib import Path
 EVE_MODES = {"op": ("none",), "dual": ("none", "qubit"), "single-i": ("none", "pair"), "single-ii": ("none", "pair")}
 CHANNELS = ("psi+", "psi-", "phi+", "phi-")
 SEEDS = range(6)
-INPUTS = (("--random-input",), ("--input", "0.6,0,0,0.8"), ("--input", "0.5,0.5,0.5,-0.5"))
+INPUTS = (
+    ("--random-input",),
+    ("--input", "0.6,0,0,0.8"),
+    ("--input", "0.5,0.5,0.5,-0.5"),
+    # Run-tree keys read amplitude bytes, so -0.0 and 0.0 take different paths.
+    # One token: argparse would take a separate "-0.0,..." for an option.
+    ("--input=-0.0,0.0,0.7071067811865476,-0.7071067811865475",),
+)
 FORMATS = ("json", "text")
 RUNS = 25
 
@@ -44,11 +51,14 @@ def configs() -> list[list[str]]:
 
 
 def hash_line(main, argv: list[str]) -> str:
-    """'<sha256 of what main(argv) writes to stdout> <argv>'."""
+    """'<sha256 of what main(argv) writes to stdout> <its exit code> <argv>'."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(argv)
-    return f"{hashlib.sha256(out.getvalue().encode()).hexdigest()} {' '.join(argv)}"
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the CLI rejects a config by exiting 2
+            code = exc.code
+    return f"{hashlib.sha256(out.getvalue().encode()).hexdigest()} {code} {' '.join(argv)}"
 
 
 def main(argv: list[str]) -> None:
