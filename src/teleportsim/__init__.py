@@ -17,7 +17,6 @@ from .core import (
     fidelity,
     measure_qubit,
     new_register,
-    phase_normalized,
     prepare_bell,
     reduced_density,
     relabel,

@@ -47,13 +47,6 @@ class LeakageReport:
     disturbance: float
     distinguishability: float
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "eve_observation": None if self.eve_observation is None else self.eve_observation.value,
-            "disturbance": self.disturbance,
-            "distinguishability": self.distinguishability,
-        }
-
 
 def _require_in_flight(custody: Custody, labels: tuple[str, ...]) -> None:
     for label in labels:

@@ -176,8 +176,14 @@ def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> S
     """
     if q1 == q2:
         raise ValueError(f"QND pair members q1 and q2 must be two qubits, got {q1!r} twice")
+    try:
+        gates = _qnd_gates(q1, q2, d, e)
+    except TypeError:  # an unhashable stray label misses the cache; state.axis names it
+        for q in (q1, q2, d, e):
+            state.axis(q)
+        raise
     out = state
-    for gate in _qnd_gates(q1, q2, d, e):
+    for gate in gates:
         out = apply_gate(out, gate)
     return out
 

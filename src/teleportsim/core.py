@@ -184,16 +184,17 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
     """Create a register with every qubit in |0>."""
-    labels = tuple(labels)
+    try:
+        labels = tuple(labels)
+        distinct = len(set(labels)) == len(labels)
+    except TypeError:  # not iterable, or an unhashable label
+        raise ValueError(f"register labels must be a sequence of hashable labels, got {labels!r}") from None
     if not labels:
         raise ValueError("register needs at least one qubit")
-    if len(set(labels)) != len(labels):
+    if not distinct:
         raise ValueError(f"duplicate qubit labels in {labels}")
     if len(labels) > MAX_QUBITS:
         raise ValueError(f"register capped at {MAX_QUBITS} qubits, got {len(labels)}")
@@ -522,12 +523,3 @@ def relabel(state: StateVector, old: str, new: str) -> StateVector:
     if new in state.labels:
         raise ValueError(f"label {new!r} already in register")
     return StateVector(tuple(new if l == old else l for l in state.labels), state.amplitudes)
-
-
-def phase_normalized(amplitudes: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible amplitude is real positive."""
-    vec = np.asarray(amplitudes, dtype=complex)
-    for a in vec:
-        if abs(a) > tol:
-            return vec * (a.conjugate() / abs(a))
-    return vec.copy()

@@ -178,7 +178,8 @@ class Custody:
 
 @dataclass(frozen=True)
 class InputSpec:
-    """The input qubit Charles hands to Alice: explicit amplitudes or Haar random."""
+    """The input qubit Charles hands to Alice: explicit amplitudes, checked once here
+    and stored as complex, or Haar random."""
 
     alpha: complex = 1.0
     beta: complex = 0.0
@@ -193,22 +194,23 @@ class InputSpec:
             # An array, even of one element, passes the attribute test but is no amplitude.
             if parts is None or getattr(self.alpha, "ndim", 0) or getattr(self.beta, "ndim", 0):
                 raise ValueError(f"input amplitudes must be scalar numbers, got ({self.alpha!r}, {self.beta!r})")
-            # A part above 2 can never normalize; rejected before squaring, which overflows.
-            if any(abs(p) > 2.0 for p in parts):
-                raise ValueError(f"input amplitudes not normalized: a part of ({self.alpha}, {self.beta}) exceeds 2")
-            nrm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+            try:
+                # A part above 2 can never normalize; rejected before squaring, which
+                # overflows, and before complex(), which overflows on a huge int.
+                if any(abs(p) > 2.0 for p in parts):
+                    raise ValueError(f"input amplitudes not normalized: a part of ({self.alpha}, {self.beta}) exceeds 2")
+                alpha, beta = complex(self.alpha), complex(self.beta)
+            except TypeError:  # numpy strings and dates have .real too, and are no numbers
+                raise ValueError(f"input amplitudes must be scalar numbers, got ({self.alpha!r}, {self.beta!r})") from None
+            nrm2 = abs(alpha) ** 2 + abs(beta) ** 2
             if not abs(nrm2 - 1.0) <= 1e-9:  # also rejects NaN and inf
                 raise ValueError(f"input amplitudes not normalized: |a|^2+|b|^2 = {nrm2:.3e}")
+            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "beta", beta)
 
     @classmethod
     def explicit(cls, alpha: complex, beta: complex) -> "InputSpec":
-        try:
-            pair = complex(alpha), complex(beta)
-        except TypeError:
-            raise ValueError(f"input amplitudes must be scalar numbers, got ({alpha!r}, {beta!r})") from None
-        except OverflowError:  # an int beyond float range, as __post_init__ rejects it
-            raise ValueError(f"input amplitudes not normalized: a part of ({alpha}, {beta}) exceeds 2") from None
-        return cls(*pair, False)
+        return cls(alpha, beta)
 
     @classmethod
     def haar(cls) -> "InputSpec":
@@ -244,20 +246,6 @@ class RunReport:
     ledger_delta: Ledger
     input_amplitudes: tuple[complex, complex]
     final_state: StateVector | None = field(default=None, repr=False, compare=False)
-
-    def as_dict(self) -> dict[str, object]:
-        a, b = self.input_amplitudes
-        return {
-            "run_index": self.run_index,
-            "variant": self.variant.value,
-            "channel_before": self.channel_before.value,
-            "alice_result": self.alice_result.value,
-            "correction": self.correction.value,
-            "fidelity": self.fidelity,
-            "channel_after": None if self.channel_after is None else self.channel_after.value,
-            "ledger_delta": self.ledger_delta.as_dict(),
-            "input_amplitudes": [[a.real, a.imag], [b.real, b.imag]],
-        }
 
 
 def _start(spec: InputSpec, variant: Variant, channel: BellLabel, labels: tuple[str, ...]) -> StateVector:

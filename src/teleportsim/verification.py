@@ -103,7 +103,7 @@ def check_unitarity() -> CheckResult:
                     state = apply_gate(state, Gate.h(q))
                 else:
                     state = apply_pauli(state, (PauliOp.X, PauliOp.Z)[kind - 1], q)
-        worst = max(worst, abs(state.norm() - 1.0))
+        worst = max(worst, abs(float(np.linalg.norm(state.amplitudes)) - 1.0))
     return worst < TOL, f"max norm drift {worst:.2e}"
 
 

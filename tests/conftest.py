@@ -1,14 +1,17 @@
-"""Shared pytest plumbing: the acceptance scoreboard.
+"""Shared pytest plumbing: the acceptance scoreboard and a phase helper.
 
 tests/test_acceptance.py reports one verdict per headline claim through
 record(). Whenever those tests were part of the collected run, the terminal
 summary ends with one PASS or FAIL line per claim; a claim whose test never
 reported (crashed early, deselected) prints as FAIL.
 
+phase_normalized() lets tests compare amplitude vectors up to global phase.
+
 Hypothesis runs derandomized with no example database, so a property test
 draws the same examples on every run and tier-1 stays deterministic.
 """
 
+import numpy as np
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None, max_examples=25)
@@ -51,3 +54,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"FAIL {name} (not evaluated)")
         else:
             terminalreporter.write_line(("PASS " if _results[name] else "FAIL ") + name)
+
+
+def phase_normalized(amplitudes: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Rotate a global phase so the first non-negligible amplitude is real positive."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    for a in vec:
+        if abs(a) > tol:
+            return vec * (a.conjugate() / abs(a))
+    return vec.copy()

@@ -8,7 +8,7 @@ under test.
 """
 import numpy as np
 
-from conftest import CRITERIA, record
+from conftest import CRITERIA, phase_normalized, record
 
 from teleportsim.adversary import (
     message_conditioned_density,
@@ -34,7 +34,6 @@ from teleportsim.core import (
     apply_pauli,
     extend,
     new_register,
-    phase_normalized,
     prepare_bell,
     reduced_density,
 )

@@ -196,12 +196,3 @@ class TestMessageAttack:
         monkeypatch.setattr(adversary, "run_two_channel_aqt", lambda *args, **kwargs: None)
         with pytest.raises(ProtocolError, match="did not capture"):
             message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(76))
-
-    def test_leakage_report_serialization(self):
-        leak = LeakageReport(BellLabel.PSI_PLUS, 0.0, 0.0)
-        assert leak.as_dict() == {
-            "eve_observation": "psi+",
-            "disturbance": 0.0,
-            "distinguishability": 0.0,
-        }
-        assert LeakageReport(None, 1.0, 0.0).as_dict()["eve_observation"] is None

@@ -9,6 +9,8 @@ touches the ancilla circuit, so circuit and table bugs cannot mask each other.
 import numpy as np
 import pytest
 
+from conftest import phase_normalized
+
 from teleportsim.bell import (
     BELL_ORDER,
     CHANNEL_EXPANSIONS,
@@ -36,7 +38,6 @@ from teleportsim.core import (
     extend,
     fidelity,
     new_register,
-    phase_normalized,
     prepare_bell,
     reduced_density,
     StateVector,

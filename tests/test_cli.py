@@ -260,11 +260,28 @@ class TestRunCommand:
 def ref_render_json(config, outcome):
     """The earlier render_json: the whole payload through one json.dumps call."""
 
-    def run_dict(report):
-        out = report.as_dict()
-        a, b = report.input_amplitudes
-        out["input_amplitudes"] = cli._amp_pair(a, b)
-        return out
+    def value(label):
+        return None if label is None else label.value
+
+    def run_dict(r):
+        return {
+            "run_index": r.run_index,
+            "variant": r.variant.value,
+            "channel_before": r.channel_before.value,
+            "alice_result": r.alice_result.value,
+            "correction": r.correction.value,
+            "fidelity": r.fidelity,
+            "channel_after": value(r.channel_after),
+            "ledger_delta": r.ledger_delta.as_dict(),
+            "input_amplitudes": cli._amp_pair(*r.input_amplitudes),
+        }
+
+    def leak_dict(leak):
+        return {
+            "eve_observation": value(leak.eve_observation),
+            "disturbance": leak.disturbance,
+            "distinguishability": leak.distinguishability,
+        }
 
     payload = {
         "config": cli._config_dict(config),
@@ -275,7 +292,7 @@ def ref_render_json(config, outcome):
     if outcome.eve_reports is not None:
         payload["eve"] = {
             "mode": config.eve.value,
-            "runs": [leak.as_dict() for leak in outcome.eve_reports],
+            "runs": [leak_dict(leak) for leak in outcome.eve_reports],
         }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -335,6 +352,15 @@ class TestJsonRendering:
         assert '"runs": []' in render_json(config, outcome)
         assert render_json(config, outcome) == ref_render_json(config, outcome)
 
+    def test_eve_runs_name_the_observed_label(self):
+        config = parse_args(["run", "--variant", "single-i", "--eve", "pair", "--runs", "2", "--format", "json"])
+        leaks = [LeakageReport(BellLabel.PSI_PLUS, 0.0, 0.0), LeakageReport(None, 1.0, 0.0)]
+        outcome = dataclasses.replace(run_experiment(config), eve_reports=leaks)
+        assert json.loads(render_json(config, outcome))["eve"]["runs"] == [
+            {"eve_observation": "psi+", "disturbance": 0.0, "distinguishability": 0.0},
+            {"eve_observation": None, "disturbance": 1.0, "distinguishability": 0.0},
+        ]
+
 
 class TestReproducibility:
     def test_json_reports_are_byte_identical(self, tmp_path):
@@ -367,7 +393,7 @@ class TestReproducibility:
                 fmt="json",
                 out=None,
             )
-            return [r.as_dict() for r in run_experiment(config).reports]
+            return run_experiment(config).reports
 
         assert reports(5)[:2] == reports(2)
 

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import phase_normalized
+
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
@@ -22,7 +24,6 @@ from teleportsim.core import (
     fidelity,
     measure_qubit,
     new_register,
-    phase_normalized,
     prepare_bell,
     reduced_density,
     relabel,

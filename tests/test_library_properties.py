@@ -8,16 +8,20 @@ single-channel drivers over stray ``approach`` values, and the Bell-layer
 conversions (syndrome bits, two-bit messages, labels) over stray bits,
 indices, labels and messages. ``Gate`` and ``apply_gate`` get stray gate
 kinds, targets and gates; ``measure_qubit``, ``drop_qubit``,
-``reduced_density`` and ``Custody.holder`` stray labels; ``InputSpec`` and
-``InputSpec.explicit`` stray amplitudes and the single-channel drivers stray
+``reduced_density``, ``Custody.holder`` and the QND primitives stray labels;
+``new_register`` stray label sequences; ``InputSpec`` and
+``InputSpec.explicit`` stray amplitudes (the two agree, and every number type
+complex() takes is stored as a complex) and the single-channel drivers stray
 input sequences. Any other exception, or any numpy RuntimeWarning, fails the
-property. A QND measurement of a qubit with itself is rejected before any
-draw, and stray arguments fail on a node of a shared run tree exactly as on an
-unshared copy of it.
+property. A QND measurement of a qubit with itself or of a stray label is
+rejected before any draw, and stray arguments fail on a node of a shared run
+tree exactly as on an unshared copy of it.
 """
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,13 +232,40 @@ def test_input_spec_takes_only_numbers(alpha, beta):
 @example(alpha=10**400, beta=0)
 @example(alpha=0.6, beta=[0.8])
 def test_input_spec_explicit_takes_only_numbers(alpha, beta):
-    """A stray amplitude gives a unit spec or ValueError, never complex()'s TypeError."""
+    """A stray amplitude gives a unit spec or ValueError, never complex()'s TypeError;
+    explicit and the constructor run the one check, so strings fail both."""
     spec = _strict(InputSpec.explicit, alpha, beta)
+    assert spec == _strict(InputSpec, alpha, beta)
+    if isinstance(alpha, str) or isinstance(beta, str):
+        assert spec is None
     if spec is not None:
         assert _is_unit(*_strict(spec.resolve, None))
 
 
-@pytest.mark.parametrize("stray", [None, [1.0], np.array([1.0]), object()])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(1, 0), (True, False), (Fraction(3, 5), Fraction(4, 5)), (Decimal("0.6"), Decimal("0.8")),
+     (np.float64(0.6), np.complex128(0.8j)), (np.array(0.6), 0.8)],
+    ids=["int", "bool", "Fraction", "Decimal", "numpy scalars", "0-d array"],
+)
+def test_input_spec_stores_complex_amplitudes(alpha, beta):
+    """Every number type complex() takes gives the spec of its complex value."""
+    spec = InputSpec(alpha, beta)
+    assert type(spec.alpha) is complex and type(spec.beta) is complex
+    assert spec == InputSpec.explicit(alpha, beta) == InputSpec(complex(alpha), complex(beta))
+
+
+class _PartsOnly:
+    """Has a real and an imaginary part, but complex() does not take it."""
+
+    real, imag = 1.0, 0.0
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [None, [1.0], np.array([1.0]), object(), "1", np.str_("1"),
+     np.datetime64("2020"), np.timedelta64(1), _PartsOnly()],
+)
 def test_input_spec_explicit_names_a_non_number(stray):
     with pytest.raises(ValueError, match=r"^input amplitudes must be scalar numbers, got \(") as info:
         InputSpec.explicit(stray, 0)
@@ -344,6 +375,40 @@ def test_message_to_label_takes_only_messages(msg):
     assert (label is not None) == isinstance(msg, TwoBitMessage)
     if label is not None:
         assert label_to_message(label) == msg
+
+
+@given(stray=_STRAYS | st.sampled_from(["A", "B", "C", "D", "E"]), position=st.integers(0, 1))
+@example(stray=["A"], position=0)
+@example(stray=["C"], position=1)
+@example(stray={"A": 0}, position=0)
+@example(stray=np.zeros(2), position=1)
+@example(stray=None, position=0)
+def test_qnd_takes_only_register_labels(stray, position):
+    """A stray pair member, unhashable ones included, raises ValueError before any draw."""
+    state = extend(prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PSI_MINUS), "C", (0.6, 0.8j))
+    q1, q2 = (stray, "C") if position == 0 else ("A", stray)
+    other = "C" if position == 0 else "A"
+    valid = isinstance(stray, str) and stray in ("A", "B", "C") and stray != other
+    rng = np.random.default_rng(3)
+    untouched = rng.bit_generator.state
+    assert (_strict(qnd_bell_measure, state, q1, q2, rng) is not None) == valid
+    if not valid:
+        assert rng.bit_generator.state == untouched
+    assert (_strict(syndrome_probabilities, state, q1, q2) is not None) == valid
+    _strict(apply_qnd_circuit, extend(extend(state, "D"), "E"), q1, q2, "D", "E")
+    for d, e in ((stray, "E"), ("D", stray)):
+        _strict(apply_qnd_circuit, extend(extend(state, "D"), "E"), "A", "C", d, e)
+
+
+@given(labels=_STRAYS | st.lists(_STRAYS, max_size=3))
+@example(labels=None)
+@example(labels=5)
+@example(labels=[["A"]])
+@example(labels=["A", np.zeros(2)])
+def test_new_register_takes_only_label_sequences(labels):
+    state = _strict(new_register, labels)
+    if state is not None:
+        assert state.labels == tuple(labels) and state.amplitudes[0] == 1.0
 
 
 @pytest.mark.parametrize("label", list(BellLabel))

@@ -2,11 +2,13 @@
 plus custody bookkeeping and the resource ledger.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from teleportsim.bell import CORRECTIONS
-from teleportsim.core import BELL_AMPLITUDES, BellLabel, PauliOp
+from teleportsim.core import BELL_AMPLITUDES, BellLabel, PauliOp, new_register
 from teleportsim.protocol import (
     Approach,
     Custody,
@@ -300,15 +302,14 @@ class TestInputSpec:
 
 
 class TestReports:
-    def test_as_dict_round_trips_values(self):
+    def test_report_fields_hold_values(self):
         report = run_op_baseline(InputSpec.explicit(0.6, 0.8), BellLabel.PSI_PLUS, seeded(61))
-        payload = report.as_dict()
-        assert payload["variant"] == "op"
-        assert payload["channel_before"] == "psi+"
-        assert payload["channel_after"] is None
-        assert payload["input_amplitudes"] == [[0.6, 0.0], [0.8, 0.0]]
-        assert isinstance(payload["ledger_delta"], dict)
-        assert payload["fidelity"] >= 1 - TOL
+        assert report.variant is Variant.OP
+        assert report.channel_before is BellLabel.PSI_PLUS
+        assert report.channel_after is None
+        assert report.input_amplitudes == (0.6, 0.8)
+        assert isinstance(report.ledger_delta, Ledger)
+        assert report.fidelity >= 1 - TOL
 
     def test_run_report_is_plain_data(self):
         report = RunReport(
@@ -323,7 +324,7 @@ class TestReports:
             input_amplitudes=(1.0, 0.0),
         )
         assert report.final_state is None
-        assert report.as_dict()["correction"] == "I"
+        assert report == dataclasses.replace(report, final_state=new_register(("A",)))
 
 
 class TestChannelStateAcrossRuns:
