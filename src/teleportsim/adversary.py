@@ -10,11 +10,13 @@ teleported input: nothing, which is the point of the analysis.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import MESSAGE_CHANNEL, SUPERDENSE_ENCODING, TwoBitMessage, qnd_bell_measure, syndrome_probabilities
+from .bell import BELL_ORDER, MESSAGE_CHANNEL, SUPERDENSE_ENCODING, TwoBitMessage, qnd_bell_measure, syndrome_probabilities
 from .core import (
     BellLabel,
     StateVector,
@@ -54,15 +56,38 @@ def _require_in_flight(custody: Custody, labels: tuple[str, ...]) -> None:
             raise ValueError(f"{label!r} is not in flight; Eve cannot reach it")
 
 
+def _square(m: object) -> np.ndarray:
+    """m as a complex square matrix of finite entries, else ValueError."""
+    try:
+        out = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    # cmath.isfinite over the entries: np.isfinite(out).all() costs twice as much on a 2x2 or 4x4.
+    if out is None or out.ndim != 2 or out.shape[0] != out.shape[1] or not all(map(cmath.isfinite, out.flat)):
+        raise ValueError(f"not a square matrix of finite numbers: {m!r}")
+    return out
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of the difference of two density matrices."""
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
+    a, b = _square(a), _square(b)
+    if a.shape != b.shape:
+        raise ValueError(f"density matrices differ in shape: {a.shape} vs {b.shape}")
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 def total_variation(p: dict[BellLabel, float], q: dict[BellLabel, float]) -> float:
-    """Total variation distance between two label distributions."""
-    keys = set(p) | set(q)
-    return float(0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys))
+    """Total variation distance between two label distributions; a missing label
+    has probability 0. The terms are summed in BELL_ORDER, so no hash can move
+    the result's bits."""
+    try:
+        ok = set(p).union(q).issubset(BELL_ORDER)
+        tv = float(0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in BELL_ORDER))
+    except (AttributeError, TypeError, ValueError):  # not mappings, or values that are not numbers
+        ok = False
+    if not (ok and math.isfinite(tv)):
+        raise ValueError(f"not two distributions over Bell labels: {p!r}, {q!r}")
+    return tv
 
 
 class PairObserver:
@@ -127,15 +152,24 @@ def pair_interception_analysis(
         )
         return reports, observer
 
+    dists: dict[tuple[BellLabel, bytes], dict[BellLabel, float]] = {}
+
+    def _distribution(r: RunReport) -> dict[BellLabel, float]:
+        """r's analytic label distribution, computed once per channel and
+        amplitude bytes (0.0 and -0.0 differ): an explicit input needs at most four."""
+        key = (r.channel_before, np.array(r.input_amplitudes).tobytes())
+        dist = dists.get(key)
+        if dist is None:
+            dist = dists[key] = analytic_label_distribution(r.channel_before, *r.input_amplitudes)
+        return dist
+
     reports_a, obs_a = _capture(input_a)
     reports_b, obs_b = _capture(input_b)
 
     out: list[LeakageReport] = []
     for i in range(runs):
-        ra, rb = reports_a[i], reports_b[i]
-        dist_a = analytic_label_distribution(ra.channel_before, *ra.input_amplitudes)
-        dist_b = analytic_label_distribution(rb.channel_before, *rb.input_amplitudes)
-        tv = total_variation(dist_a, dist_b)
+        ra = reports_a[i]
+        tv = total_variation(_distribution(ra), _distribution(reports_b[i]))
         td = trace_distance(obs_a.pair_states[i], obs_b.pair_states[i])
         out.append(
             LeakageReport(

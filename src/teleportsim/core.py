@@ -56,8 +56,9 @@ taken; only the arithmetic of a repeated call is skipped. A failing call
 stores nothing, and an unhashable stray argument bypasses the memo, so errors
 are those of an unshared state. This relies on StateVector being immutable:
 nothing may write to a register's amplitudes in place. protocol roots one
-tree per explicit input, variant and channel; every other state has no memo,
-pays one attribute load per call and keeps nothing.
+tree per explicit input, variant and channel, and makes a node of each
+register a single-channel stream of explicit inputs revisits; every other
+state has no memo, pays one attribute load per call and keeps nothing.
 """
 from __future__ import annotations
 
@@ -322,10 +323,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     memo = state._memo
     if memo is not None and (hit := _recall(memo, gate)) is not None:
         return hit
-    try:
-        kind, targets = gate.kind, gate.targets
-    except AttributeError:
-        raise ValueError(f"not a Gate: {gate!r}") from None
+    # Only a Gate has checked fields; a look-alike would run as a Hadamard here.
+    if not isinstance(gate, Gate):
+        raise ValueError(f"not a Gate: {gate!r}")
+    kind, targets = gate.kind, gate.targets
     n = len(state.labels)
     if kind is GateKind.CNOT:
         amps = state.amplitudes[_cnot_perm(n, state.axis(targets[0]), state.axis(targets[1]))]

@@ -4,6 +4,8 @@ leakage reports for the pair and message-qubit attack surfaces.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teleportsim import adversary
 from teleportsim.adversary import (
@@ -36,6 +38,8 @@ from teleportsim.protocol import (
 )
 
 TOL = 1e-12
+# Label distributions with some labels left out, whose terms are 0.
+_DISTRIBUTIONS = st.dictionaries(st.sampled_from(BELL_ORDER), st.floats(0.0, 1.0))
 
 
 def seeded(*words):
@@ -63,6 +67,14 @@ class TestDistanceMetrics:
         q[BellLabel.PSI_PLUS], q[BellLabel.PSI_MINUS] = 0.5, 0.0
         assert total_variation(p, p) < TOL
         assert abs(total_variation(p, q) - 0.25) < TOL
+
+    @given(p=_DISTRIBUTIONS, q=_DISTRIBUTIONS)
+    def test_total_variation_sums_in_bell_order(self, p, q):
+        """The terms are summed in BELL_ORDER whatever the dicts' order, so no
+        hash seed or insertion order can move the result's bits."""
+        want = 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in BELL_ORDER)
+        assert total_variation(p, q) == want
+        assert total_variation(dict(reversed(p.items())), dict(reversed(q.items()))) == want
 
 
 def _message_pair(in_flight):
@@ -157,6 +169,30 @@ class TestPairAttack:
             runs=6,
         )
         assert all(l.disturbance <= TOL and l.distinguishability <= TOL for l in leaks)
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_analysis_compares_each_runs_own_distributions(self, monkeypatch, approach):
+        """Distributions are computed once per channel and amplitude bytes, yet
+        each run's total variation compares that run's own two distributions,
+        which differ in their last bits from input to input."""
+        compared = []
+
+        def spy(p, q):
+            compared.append((p, q))
+            return total_variation(p, q)
+
+        monkeypatch.setattr(adversary, "total_variation", spy)
+        inputs = (InputSpec.haar(), InputSpec.explicit(1.0, 0.0))
+        pair_interception_analysis(*inputs, approach, BellLabel.PSI_MINUS, seed=5, runs=30)
+        want = []
+        for spec in inputs:  # the replay pair_interception_analysis makes, without its cache
+            input_rng = np.random.default_rng(np.random.SeedSequence([5, 1]))
+            specs = [InputSpec.explicit(*spec.resolve(input_rng)) for _ in range(30)]
+            rng = np.random.default_rng(np.random.SeedSequence([5]))
+            reports = run_single_channel_aqt(specs, approach, BellLabel.PSI_MINUS, rng, Ledger(), PairObserver())
+            want.append([analytic_label_distribution(r.channel_before, *r.input_amplitudes) for r in reports])
+        assert len({tuple(d.values()) for d in want[0]}) > 1
+        assert compared == list(zip(*want))
 
     def test_label_distribution_is_input_independent(self):
         rng = np.random.default_rng(73)

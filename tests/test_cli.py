@@ -380,6 +380,25 @@ class TestReproducibility:
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--variant", "single-ii", "--input", "1,0,0,0"], ["--variant", "single-i", "--random-input", "--seed", "5"]],
+        ids=["explicit", "haar"],
+    )
+    def test_eve_pair_reports_do_not_depend_on_the_hash_seed(self, args):
+        """Enum members hash by their names, and str hashes vary with
+        PYTHONHASHSEED, so no report may depend on the order of a set or a hash."""
+        argv = [sys.executable, "-m", "teleportsim.cli", "run", *args, "--eve", "pair", "--runs", "40", "--format", "json"]
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["eve"]["mode"] == "pair"
+
     def test_op_runs_are_insensitive_to_run_count(self):
         # Run i draws from a generator seeded with (seed, i), so prefixes agree.
         def reports(n):

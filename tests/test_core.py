@@ -4,6 +4,8 @@ Exact algebra is pinned at 1e-12; the one sampling test uses a 5 sigma band
 over 2 * 10^4 seeded draws.
 """
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
     Gate,
+    GateKind,
     PauliOp,
     StateVector,
     apply_gate,
@@ -91,6 +94,18 @@ class TestRegisters:
     def test_extend_takes_only_str_labels(self, bad):
         with pytest.raises(ValueError, match="must be a str"):
             extend(new_register(("A",)), bad)
+
+
+@pytest.mark.parametrize("enum_type", [BellLabel, PauliOp, GateKind])
+def test_enum_members_are_singletons_that_key_dicts(enum_type):
+    """Members key the memos and tables, so each must stay one object: looked
+    up by value, copied or unpickled, a member is itself and finds its dict entry."""
+    assert BellLabel("psi+") is BellLabel.PSI_PLUS
+    table = {member: i for i, member in enumerate(enum_type)}
+    for i, member in enumerate(enum_type):
+        for same in (enum_type(member.value), copy.deepcopy(member), pickle.loads(pickle.dumps(member))):
+            assert same is member
+            assert table[same] == i
 
 
 class TestGates:

@@ -12,7 +12,8 @@ kinds, targets and gates; ``measure_qubit``, ``drop_qubit``,
 ``new_register`` stray label sequences; ``InputSpec`` and
 ``InputSpec.explicit`` stray amplitudes (the two agree, and every number type
 complex() takes is stored as a complex) and the single-channel drivers stray
-input sequences. Any other exception, or any numpy RuntimeWarning, fails the
+input sequences, and the leakage metrics ``trace_distance`` and
+``total_variation`` stray matrices and distributions. Any other exception, or any numpy RuntimeWarning, fails the
 property. A QND measurement of a qubit with itself or of a stray label is
 rejected before any draw, and stray arguments fail on a node of a shared run
 tree exactly as on an unshared copy of it.
@@ -22,13 +23,14 @@ import math
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from teleportsim.adversary import pair_interception_analysis
+from teleportsim.adversary import MAXIMALLY_MIXED, pair_interception_analysis, total_variation, trace_distance
 from teleportsim.bell import (
     SYNDROME_TO_BELL,
     TwoBitMessage,
@@ -191,6 +193,8 @@ def test_gate_takes_only_gate_kinds(kind, targets):
 @example(gate="H")
 @example(gate=GateKind.HADAMARD)
 @example(gate=["H"])
+@example(gate=SimpleNamespace(kind=GateKind.HADAMARD, targets=("A",)))
+@example(gate=SimpleNamespace(kind="drop", targets="A"))
 def test_apply_gate_takes_only_gates(gate):
     state = _strict(apply_gate, new_register(("A", "B")), gate)
     assert (state is not None) == isinstance(gate, Gate)
@@ -209,6 +213,38 @@ def test_label_lookups_take_only_register_labels(label):
     assert (_strict(drop_qubit, measured, label) is not None) == valid
     assert (_strict(reduced_density, state, [label]) is not None) == valid
     assert (_strict(Custody({"A": Party.ALICE, "B": Party.BOB}).holder, label) is not None) == valid
+
+
+_DISTRIBUTION = {label: 0.25 for label in BellLabel}
+
+
+@given(stray=_STRAYS, position=st.integers(0, 1))
+@example(stray=None, position=0)
+@example(stray=[[1.0, 0.0], [0.0, 0.0]], position=1)
+@example(stray=[[1.0, 0.0]], position=0)
+@example(stray=np.full((2, 2), np.inf), position=1)
+@example(stray=10**400, position=0)
+@example(stray={"psi+": 1}, position=1)
+@example(stray={BellLabel.PSI_PLUS: "1"}, position=0)
+@example(stray="psi+", position=1)
+@example(stray={BellLabel.PSI_PLUS: np.ones(2)}, position=0)
+@example(stray={BellLabel.PSI_PLUS: math.nan}, position=1)
+@example(stray={BellLabel.PHI_MINUS: math.inf}, position=0)
+def test_leakage_metrics_take_only_matrices_and_distributions(stray, position):
+    """trace_distance takes two square matrices of one shape and finite entries,
+    total_variation two mappings from Bell labels to finite numbers (an empty
+    one has every label at 0); any other argument in either position raises
+    ValueError."""
+    cases = (
+        (trace_distance, MAXIMALLY_MIXED, isinstance(stray, list) and stray == [[1.0, 0.0], [0.0, 0.0]]),
+        (total_variation, _DISTRIBUTION, isinstance(stray, dict) and stray == {}),
+    )
+    for metric, valid, taken in cases:
+        args = [valid, valid]
+        args[position] = stray
+        assert (_strict(metric, *args) is not None) == taken
+    for shape in ((4, 4), (1, 1), (2, 1)):  # (1, 1) would broadcast against (2, 2)
+        assert _strict(trace_distance, MAXIMALLY_MIXED, np.ones(shape)) is None
 
 
 @given(keep=_STRAYS)
@@ -477,10 +513,15 @@ def _stray_calls(stray, seed):
 @example(stray="B", seed=1)
 @example(stray=np.zeros(2), seed=2)
 @example(stray=None, seed=3)
+@example(stray=SimpleNamespace(kind="measure", targets="B"), seed=0)
+@example(stray=SimpleNamespace(kind="drop", targets="B"), seed=1)
+@example(stray=SimpleNamespace(kind="rho", targets=("B",)), seed=2)
 def test_strays_fail_on_a_shared_state_as_on_an_unshared_copy(stray, seed):
     """A shared run tree's memo never changes an error: an unhashable memo key
     would raise TypeError before the primitive's own check, and a stored result
-    must never answer a call that fails on an unshared state."""
+    must never answer a call that fails on an unshared state, nor a call of
+    another primitive, such as a gate look-alike whose fields spell a
+    measurement's memo key."""
     spec = InputSpec.explicit(0.6, 0.8j)
     for i in range(4):
         report = run_op_baseline(spec, BellLabel.PSI_MINUS, np.random.default_rng(i), run_index=i)
@@ -489,6 +530,10 @@ def test_strays_fail_on_a_shared_state_as_on_an_unshared_copy(stray, seed):
     shared = apply_gate(extend(shared, "A"), Gate.cnot("C", "A"))
     assert "_memo" in shared.__dict__
     for node in (report.final_state, shared):
+        for label in node.labels:  # a memo entry of each kind the node can hold
+            _outcome(measure_qubit, node, label, np.random.default_rng(seed))
+            _outcome(drop_qubit, node, label)
+            _outcome(reduced_density, node, (label,))
         fresh = StateVector(node.labels, node.amplitudes.copy())
         for name, call in _stray_calls(stray, seed).items():
             want = _outcome(call, fresh)

@@ -5,20 +5,28 @@ field, every final state bit for bit and every generator's next draw equal
 those of the same run on a fresh ``InputSpec.explicit``, and every primitive
 called on a shared state equals the same call on an unshared copy. The tree
 must stay bounded by the measurement paths and be freed with its spec.
+
+A single-channel stream of one explicit input shares the registers it
+revisits. It must equal the same stream run without sharing in every
+report, final state, Eve pair state, next draw and primitive call count,
+and its revisit table must stop at its cap.
 """
 
 import cmath
 import gc
 import math
 import weakref
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_hand_counts import calls  # noqa: F401  (the fixture that counts primitive calls)
 
-from teleportsim.adversary import message_interception_report
+from teleportsim import protocol
+from teleportsim.adversary import PairObserver, message_interception_report
 from teleportsim.core import (
     BellLabel,
     Gate,
@@ -179,21 +187,112 @@ def test_recorded_drops_on_a_tree_are_memoized_and_equal_unshared_drops(channel)
             assert not got.amplitudes.flags.writeable
 
 
-def test_haar_inputs_streams_and_fresh_specs_share_nothing():
+def _register_keys(reports):
+    """The revisit key of each run's final register: its labels and amplitude bytes."""
+    return [(r.final_state.labels, r.final_state.amplitudes.tobytes()) for r in reports]
+
+
+def test_haar_inputs_and_fresh_specs_share_nothing_and_explicit_streams_share_their_revisits():
     haar = InputSpec.haar()
     a = run_op_baseline(haar, BellLabel.PSI_MINUS, _rng(1, 0))
     assert "_roots" not in haar.__dict__
     assert "_memo" not in a.final_state.__dict__
-    # A single-channel stream carries its channel from run to run, so it never repeats a state.
-    spec = InputSpec.explicit(0.6, 0.8)
-    reports = run_single_channel_aqt([spec] * 4, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, _rng(1, 0))
-    assert "_roots" not in spec.__dict__
+    # A Haar stream never repeats a register, so it shares nothing.
+    reports = run_single_channel_aqt([haar] * 40, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, _rng(1, 0))
     assert not any("_memo" in r.final_state.__dict__ for r in reports)
+    # An explicit stream shares exactly the registers it revisits, from the
+    # second sight on, as one read-only node.
+    spec = InputSpec.explicit(0.6, 0.8)
+    reports = run_single_channel_aqt([spec] * 18, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, _rng(1, 0))
+    assert "_roots" not in spec.__dict__
+    keys = _register_keys(reports)
+    assert len(set(keys)) < len(keys)
+    nodes = {}
+    for i, (key, r) in enumerate(zip(keys, reports)):
+        assert ("_memo" in r.final_state.__dict__) == (key in keys[:i])
+        if key in keys[:i]:
+            assert nodes.setdefault(key, r.final_state) is r.final_state
+            assert not r.final_state.amplitudes.flags.writeable
     # Trees live on the instance: equal specs do not share one.
     b = run_op_baseline(InputSpec.explicit(0.6, 0.8), BellLabel.PSI_MINUS, _rng(1, 0))
     c = run_op_baseline(InputSpec.explicit(0.6, 0.8), BellLabel.PSI_MINUS, _rng(1, 0))
     assert b.final_state is not c.final_state
     assert np.array_equal(b.final_state.amplitudes, c.final_state.amplitudes)
+
+
+class _Unshared:
+    """Resolves as an explicit InputSpec does, but is none, so a stream of it
+    never revisits a shared register: the reference for shared streams."""
+
+    def __init__(self, spec):
+        self._spec = spec
+
+    def resolve(self, rng):
+        return self._spec.resolve(rng)
+
+
+def _stream(spec, approach, channel, seed, runs, eve):
+    observer = PairObserver() if eve else None
+    rng = _rng(seed, 0)
+    reports = run_single_channel_aqt([spec] * runs, approach, channel, rng, Ledger(), observer)
+    return reports, observer, rng.random()
+
+
+@pytest.mark.parametrize("channel", list(BellLabel))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pair=_INPUTS | st.sampled_from(_ZERO_SIGNS),
+    approach=st.sampled_from(Approach),
+    eve=st.booleans(),
+    runs=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_explicit_streams_equal_unshared_streams(calls, channel, pair, approach, eve, runs, seed):
+    """A stream of one explicit input, which continues from shared registers
+    where it revisits them, equals the unshared stream bit for bit: reports,
+    final states, Eve's pair states, the next draw and every primitive call."""
+    calls.clear()
+    want = _stream(_Unshared(InputSpec.explicit(*pair)), approach, channel, seed, runs, eve)
+    unshared = Counter(calls)
+    calls.clear()
+    got = _stream(InputSpec.explicit(*pair), approach, channel, seed, runs, eve)
+    assert calls == unshared
+    assert not any("_memo" in r.final_state.__dict__ for r in want[0])
+    assert [repr(r) for r in got[0]] == [repr(r) for r in want[0]]
+    assert _register_keys(got[0]) == _register_keys(want[0])
+    if eve:
+        assert got[1].labels == want[1].labels
+        assert [rho.tobytes() for rho in got[1].pair_states] == [rho.tobytes() for rho in want[1].pair_states]
+    assert got[2] == want[2]
+
+
+def test_haar_streams_skip_the_revisit_table(monkeypatch):
+    """A Haar register never repeats, so a Haar stream neither keys its
+    registers nor keeps a table."""
+    looked_up = []
+    monkeypatch.setattr(protocol, "_revisit", lambda seen, state: looked_up.append(state) or state)
+    for approach in Approach:
+        run_single_channel_aqt([InputSpec.haar()] * 20, approach, BellLabel.PSI_MINUS, _rng(2, 0))
+    assert looked_up == []
+
+
+def test_a_long_generic_stream_shares_only_revisits_and_keeps_at_most_the_cap(monkeypatch):
+    """A generic input's registers do not repeat, so a 2000-run stream shares
+    nothing, and its revisit table stops growing at _STREAM_KEYS."""
+    sizes = []
+
+    def spy(seen, state):
+        out = revisit(seen, state)
+        sizes.append(len(seen))
+        return out
+
+    revisit = protocol._revisit
+    monkeypatch.setattr(protocol, "_revisit", spy)
+    spec = InputSpec.explicit(math.cos(0.3), math.sin(0.3) * cmath.exp(0.7j))
+    reports = run_single_channel_aqt([spec] * 2000, Approach.TRACK_CHANNEL, BellLabel.PSI_MINUS, _rng(7, 0))
+    assert len(set(_register_keys(reports))) == 2000
+    assert not any("_memo" in r.final_state.__dict__ for r in reports)
+    assert sizes == [min(i + 1, protocol._STREAM_KEYS) for i in range(2000)]
 
 
 def _result(call, state):
