@@ -6,7 +6,6 @@ baseline with full resource accounting and eavesdropper analysis."""
 from .core import (
     BELL_AMPLITUDES,
     BellLabel,
-    Gate,
     GateKind,
     PauliOp,
     StateVector,

@@ -69,11 +69,14 @@ def _square(m: object) -> np.ndarray:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density matrices."""
+    """Half the trace norm of a - b, which must be Hermitian within 1e-12: eigvalsh reads one triangle."""
     a, b = _square(a), _square(b)
     if a.shape != b.shape:
         raise ValueError(f"density matrices differ in shape: {a.shape} vs {b.shape}")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    rows = (diff := a - b).tolist()  # scalar entry reads, as in _square: cheaper than array ops on a 2x2 or 4x4
+    if not all(abs(row[j] - rows[j][i].conjugate()) <= 1e-12 for i, row in enumerate(rows) for j in range(i, len(row))):
+        raise ValueError(f"density matrices differ by a non-Hermitian matrix: {rows!r}")
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def total_variation(p: dict[BellLabel, float], q: dict[BellLabel, float]) -> float:

@@ -13,14 +13,13 @@ independent route.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BellLabel,
-    Gate,
+    GateKind,
     PauliOp,
     StateVector,
     apply_gate,
@@ -52,10 +51,6 @@ class TwoBitMessage:
     def __post_init__(self) -> None:
         if not (_is_int(self.hi) and _is_int(self.lo) and self.hi in (0, 1) and self.lo in (0, 1)):
             raise ValueError(f"bits hi and lo must be ints 0 or 1, got ({self.hi!r}, {self.lo!r})")
-
-    @property
-    def index(self) -> int:
-        return self.hi * 2 + self.lo
 
     @classmethod
     def from_index(cls, index: int) -> "TwoBitMessage":
@@ -176,32 +171,15 @@ def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> S
     """
     if q1 == q2:
         raise ValueError(f"QND pair members q1 and q2 must be two qubits, got {q1!r} twice")
-    try:
-        gates = _qnd_gates(q1, q2, d, e)
-    except TypeError:  # an unhashable stray label misses the cache; state.axis names it
-        for q in (q1, q2, d, e):
-            state.axis(q)
-        raise
-    out = state
-    for gate in gates:
-        out = apply_gate(out, gate)
-    return out
-
-
-# Callers choose the labels, so the cache is bounded; the protocols use a handful.
-@functools.lru_cache(maxsize=256)
-def _qnd_gates(q1: str, q2: str, d: str, e: str) -> tuple[Gate, ...]:
-    """The eight gates of the QND circuit; they depend only on the four labels."""
-    return (
-        Gate.cnot(q1, d),
-        Gate.cnot(q2, d),
-        Gate.h(q1),
-        Gate.h(q2),
-        Gate.cnot(q1, e),
-        Gate.cnot(q2, e),
-        Gate.h(q1),
-        Gate.h(q2),
-    )
+    cnot, h = GateKind.CNOT, GateKind.HADAMARD  # looked up once, as apply_gate explains
+    out = apply_gate(state, cnot, q1, d)
+    out = apply_gate(out, cnot, q2, d)
+    out = apply_gate(out, h, q1)
+    out = apply_gate(out, h, q2)
+    out = apply_gate(out, cnot, q1, e)
+    out = apply_gate(out, cnot, q2, e)
+    out = apply_gate(out, h, q1)
+    return apply_gate(out, h, q2)
 
 
 def _with_syndrome(state: StateVector, q1: str, q2: str) -> tuple[StateVector, str, str]:
@@ -262,8 +240,8 @@ def decode_superdense(
     Bell inputs; the measured qubits stay in the register for the caller to
     discard.
     """
-    out = apply_gate(state, Gate.cnot(qa, qb))
-    out = apply_gate(out, Gate.h(qa))
+    out = apply_gate(state, GateKind.CNOT, qa, qb)
+    out = apply_gate(out, GateKind.HADAMARD, qa)
     hi, out = measure_qubit(out, qa, rng)
     lo, out = measure_qubit(out, qb, rng)
     return TwoBitMessage(hi, lo), out

@@ -121,33 +121,6 @@ class GateKind(enum.Enum):
     CNOT = "CNOT"
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A named gate applied to one or two target labels."""
-
-    kind: GateKind
-    targets: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, GateKind):
-            raise ValueError(f"not a GateKind: {self.kind!r}")
-        if not isinstance(self.targets, tuple):
-            raise ValueError(f"gate targets must be a tuple of labels, got {self.targets!r}")
-        want = 2 if self.kind is GateKind.CNOT else 1
-        if len(self.targets) != want:
-            raise ValueError(f"{self.kind.value} takes {want} target(s), got {len(self.targets)}")
-        if self.kind is GateKind.CNOT and self.targets[0] == self.targets[1]:
-            raise ValueError("CNOT control and target must differ")
-
-    @classmethod
-    def h(cls, q: str) -> "Gate":
-        return cls(GateKind.HADAMARD, (q,))
-
-    @classmethod
-    def cnot(cls, control: str, target: str) -> "Gate":
-        return cls(GateKind.CNOT, (control, target))
-
-
 @dataclass
 class StateVector:
     """Immutable-by-convention state of a labeled register.
@@ -286,8 +259,8 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
 
 
 # n <= MAX_QUBITS bounds the kernel caches: at most 312 Pauli and 572 CNOT entries.
-# _pauli_kernel and _bell_table check their enum argument on a cache miss, so a hit pays nothing;
-# their callers turn the cache's TypeError on an unhashable argument into the same ValueError.
+# _pauli_kernel and _bell_table check their enum argument, and _cnot_perm its distinct axes, on a
+# cache miss, so a hit pays nothing; callers turn a TypeError on an unhashable argument into ValueError.
 @functools.lru_cache(maxsize=None)
 def _pauli_kernel(n: int, k: int, op: PauliOp) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(perm, sign) with amplitudes[perm] * sign equal to op on qubit k; None skips a step."""
@@ -307,6 +280,8 @@ def _pauli_kernel(n: int, k: int, op: PauliOp) -> tuple[np.ndarray | None, np.nd
 @functools.lru_cache(maxsize=None)
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     """Index permutation that flips the target bit wherever the control bit is set."""
+    if control == target:
+        raise ValueError("CNOT control and target must differ")
     index = np.arange(2**n)
     return _readonly(index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target)))
 
@@ -319,22 +294,22 @@ def _pair_gather(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(gather), _readonly(np.argsort(gather))
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector, kind: GateKind, *targets: str) -> StateVector:
     memo = state._memo
-    if memo is not None and (hit := _recall(memo, gate)) is not None:
+    # Tagged, so no stray kind or targets can spell another primitive's key.
+    if memo is not None and (hit := _recall(memo, key := ("gate", kind, targets))) is not None:
         return hit
-    # Only a Gate has checked fields; a look-alike would run as a Hadamard here.
-    if not isinstance(gate, Gate):
-        raise ValueError(f"not a Gate: {gate!r}")
-    kind, targets = gate.kind, gate.targets
     n = len(state.labels)
-    if kind is GateKind.CNOT:
+    # Arity first: a member lookup on an enum class costs about ten local reads, so each call makes one.
+    if len(targets) == 2 and kind is GateKind.CNOT:
         amps = state.amplitudes[_cnot_perm(n, state.axis(targets[0]), state.axis(targets[1]))]
-    else:
+    elif len(targets) == 1 and kind is GateKind.HADAMARD:
         gather, scatter = _pair_gather(n, state.axis(targets[0]))
         amps = np.dot(state.amplitudes[gather].reshape(-1, 2), _HT).reshape(-1)[scatter]
+    else:
+        raise ValueError(f"a HADAMARD takes 1 label and a CNOT 2, got {kind!r} on {len(targets)}")
     out = StateVector(state.labels, amps)
-    return out if memo is None else _remember(memo, gate, out)
+    return out if memo is None else _remember(memo, key, out)
 
 
 def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
@@ -425,9 +400,10 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
         view = _split(state, state.axis(target))
         p1 = float((np.abs(view[:, 1]) ** 2).sum())
         entry = [1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1), view, None, None]
-        if memo is not None:
-            memo[key] = entry
-    outcome = 1 if rng.random() < entry[0] else 0
+    try:
+        outcome = 1 if rng.random() < entry[0] else 0
+    except (AttributeError, TypeError):  # a stray rng; a stand-in needs only random()
+        raise ValueError(f"rng must be a numpy Generator, got {rng!r}") from None
     branch = entry[2 + outcome]
     if branch is None:
         out = entry[1].copy()
@@ -440,8 +416,9 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
         if nrm < math.inf:  # else the division may not have kept the zeros zero
             basis = state._basis
             branch._basis = {**basis, target: outcome} if basis else {target: outcome}
-        if memo is not None:
+        if memo is not None:  # a new entry is stored with its first branch, so a failing call stores nothing
             entry[2 + outcome] = _shared(branch)
+            memo[key] = entry
     return outcome, branch
 
 

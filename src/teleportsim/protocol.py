@@ -304,6 +304,11 @@ PairInterceptor = Callable[[StateVector, Custody, str, str, np.random.Generator]
 MessageInterceptor = Callable[[StateVector, Custody, str], None]
 
 
+def _check_rng(rng: np.random.Generator) -> None:  # before a run changes its ledger or a state
+    if not (callable(getattr(rng, "random", None)) and callable(getattr(rng, "uniform", None))):
+        raise ValueError(f"rng must be a numpy Generator or have random and uniform methods, got {rng!r}")
+
+
 def _alice_measures(
     state: StateVector, custody: Custody, spec: InputSpec, rng: np.random.Generator
 ) -> tuple[tuple[complex, complex], BellLabel, StateVector]:
@@ -355,6 +360,7 @@ def run_op_baseline(
     run_index: int = 0,
 ) -> RunReport:
     """One run of the baseline protocol: destroy the pair, send two bits."""
+    _check_rng(rng)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
@@ -400,6 +406,7 @@ def run_single_channel_aqt(
     """
     if not isinstance(approach, Approach):
         raise ValueError(f"not an Approach: {approach!r}")
+    _check_rng(rng)
     try:
         inputs = iter(inputs)
     except TypeError:
@@ -484,6 +491,7 @@ def run_two_channel_aqt(
     if a message interceptor grabs the qubit in flight (that interception is
     destructive, so the run aborts).
     """
+    _check_rng(rng)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 

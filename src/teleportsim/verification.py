@@ -38,7 +38,7 @@ from .bell import (
 from .core import (
     BELL_AMPLITUDES,
     BellLabel,
-    Gate,
+    GateKind,
     PauliOp,
     StateVector,
     apply_gate,
@@ -96,11 +96,11 @@ def check_unitarity() -> CheckResult:
             kind = rng.integers(0, 4)
             if kind == 3:
                 c, t = rng.choice(4, size=2, replace=False)
-                state = apply_gate(state, Gate.cnot(labels[c], labels[t]))
+                state = apply_gate(state, GateKind.CNOT, labels[c], labels[t])
             else:
                 q = labels[rng.integers(0, 4)]
                 if kind == 0:
-                    state = apply_gate(state, Gate.h(q))
+                    state = apply_gate(state, GateKind.HADAMARD, q)
                 else:
                     state = apply_pauli(state, (PauliOp.X, PauliOp.Z)[kind - 1], q)
         worst = max(worst, abs(float(np.linalg.norm(state.amplitudes)) - 1.0))
@@ -113,10 +113,10 @@ def check_involutions() -> CheckResult:
     for _ in range(20):
         state = _random_state(("A", "B", "C"), rng)
         for step in (
-            lambda s: apply_gate(s, Gate.h("A")),
+            lambda s: apply_gate(s, GateKind.HADAMARD, "A"),
             lambda s: apply_pauli(s, PauliOp.X, "B"),
             lambda s: apply_pauli(s, PauliOp.Z, "C"),
-            lambda s: apply_gate(s, Gate.cnot("A", "C")),
+            lambda s: apply_gate(s, GateKind.CNOT, "A", "C"),
         ):
             worst = min(worst, fidelity(state, step(step(state))))
     return worst >= 1.0 - TOL, f"min involution fidelity {worst:.15f}"
@@ -133,7 +133,7 @@ def check_hadamard_bell_action() -> CheckResult:
     }
     for label, (target, sign) in expected.items():
         state = prepare_bell(new_register(("A", "B")), "A", "B", label)
-        state = apply_gate(apply_gate(state, Gate.h("A")), Gate.h("B"))
+        state = apply_gate(apply_gate(state, GateKind.HADAMARD, "A"), GateKind.HADAMARD, "B")
         if not np.allclose(state.amplitudes, sign * BELL_AMPLITUDES[target], rtol=0.0, atol=TOL):
             return False, f"H(x)H on {label.value} missed {sign:+.0f}|{target.value}>"
     return True, "psi+ <-> phi-, phi+ fixed, psi- -> -psi-"

@@ -31,7 +31,7 @@ from teleportsim.bell import (
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
-    Gate,
+    GateKind,
     PauliOp,
     apply_gate,
     apply_pauli,
@@ -280,8 +280,8 @@ class TestSuperdense:
         # CNOT sends (|00>+|11>)/sqrt2 to (|00>+|10>)/sqrt2; H on the first
         # qubit then leaves exactly |00>.
         state = prepare_bell(new_register(("MA", "MB")), "MA", "MB", BellLabel.PHI_PLUS)
-        state = apply_gate(state, Gate.cnot("MA", "MB"))
-        state = apply_gate(state, Gate.h("MA"))
+        state = apply_gate(state, GateKind.CNOT, "MA", "MB")
+        state = apply_gate(state, GateKind.HADAMARD, "MA")
         np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=TOL)
 
 

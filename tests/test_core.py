@@ -16,7 +16,6 @@ from conftest import phase_normalized
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
-    Gate,
     GateKind,
     PauliOp,
     StateVector,
@@ -122,30 +121,38 @@ class TestGates:
         rng = np.random.default_rng(3)
         for _ in range(10):
             state = random_state(("A", "B"), rng)
-            twice = apply_gate(apply_gate(state, Gate.h("A")), Gate.h("A"))
+            twice = apply_gate(apply_gate(state, GateKind.HADAMARD, "A"), GateKind.HADAMARD, "A")
             np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_cnot_truth_table(self):
         # |10> -> |11> and |11> -> |10>; the control is the most significant bit.
         for src, dst in (((0, 0, 1, 0), (0, 0, 0, 1)), ((0, 0, 0, 1), (0, 0, 1, 0))):
             state = StateVector(("A", "B"), np.array(src, dtype=complex))
-            out = apply_gate(state, Gate.cnot("A", "B"))
+            out = apply_gate(state, GateKind.CNOT, "A", "B")
             np.testing.assert_allclose(out.amplitudes, dst, atol=1e-15)
 
     def test_cnot_leaves_control_zero_branch(self):
         state = StateVector(("A", "B"), np.array([0, 1, 0, 0], dtype=complex))
-        out = apply_gate(state, Gate.cnot("A", "B"))
+        out = apply_gate(state, GateKind.CNOT, "A", "B")
         np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            apply_gate(new_register(("A",)), Gate.h("Q"))
+            apply_gate(new_register(("A",)), GateKind.HADAMARD, "Q")
 
     def test_gate_arity_validated(self):
-        with pytest.raises(ValueError):
-            Gate(Gate.h("A").kind, ("A", "B"))
+        """A HADAMARD takes one label and a CNOT two different ones; nothing else is a gate."""
+        state = new_register(("A", "B"))
+        for kind, targets in [
+            (GateKind.HADAMARD, ("A", "B")), (GateKind.HADAMARD, ()), (GateKind.CNOT, ("A",)),
+            (GateKind.CNOT, ("A", "B", "A")), ("H", ("A",)), (PauliOp.X, ("A",)), (None, ("A", "B")),
+        ]:
+            with pytest.raises(ValueError, match="^a HADAMARD takes 1 label and a CNOT 2"):
+                apply_gate(state, kind, *targets)
         with pytest.raises(ValueError, match="differ"):
-            Gate.cnot("A", "A")
+            apply_gate(state, GateKind.CNOT, "A", "A")
+        with pytest.raises(ValueError, match="unknown"):  # one label per argument, not a tuple of them
+            apply_gate(state, GateKind.HADAMARD, ("A",))
 
 
 class TestPauliCorrections:
@@ -295,7 +302,7 @@ class TestRegisterEditing:
 
     def test_drop_separable_superposed_qubit(self):
         state = extend(new_register(("A",)), "B", (0.6, 0.8))
-        state = apply_gate(state, Gate.h("A"))
+        state = apply_gate(state, GateKind.HADAMARD, "A")
         out = drop_qubit(state, "A")
         np.testing.assert_allclose(np.abs(out.amplitudes), [0.6, 0.8], atol=1e-12)
 

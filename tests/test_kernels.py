@@ -25,7 +25,6 @@ from teleportsim.core import (
     NORM_TOL,
     PROB_CLAMP,
     BellLabel,
-    Gate,
     GateKind,
     PauliOp,
     StateVector,
@@ -51,11 +50,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 REPEATS = 8  # measurements of one state object per target
 
 
-def ref_apply_gate(state, gate):
+def ref_apply_gate(state, kind, *targets):
     arr = state.tensor()
-    if gate.kind is GateKind.CNOT:
-        c = state.axis(gate.targets[0])
-        t = state.axis(gate.targets[1])
+    if kind is GateKind.CNOT:
+        c = state.axis(targets[0])
+        t = state.axis(targets[1])
         out = arr.copy()
         i10 = [slice(None)] * state.n_qubits
         i11 = [slice(None)] * state.n_qubits
@@ -64,7 +63,7 @@ def ref_apply_gate(state, gate):
         out[tuple(i10)] = arr[tuple(i11)]
         out[tuple(i11)] = arr[tuple(i10)]
     else:
-        k = state.axis(gate.targets[0])
+        k = state.axis(targets[0])
         out = np.moveaxis(np.tensordot(arr, _H, axes=([k], [1])), -1, k)
     return out.reshape(-1)
 
@@ -165,8 +164,8 @@ def old_drop_qubit(state, label):
 
 
 def ref_prepare_bell(state, q1, q2, label):
-    out = apply_gate(state, Gate.h(q1))
-    out = apply_gate(out, Gate.cnot(q1, q2))  # now phi+
+    out = apply_gate(state, GateKind.HADAMARD, q1)
+    out = apply_gate(out, GateKind.CNOT, q1, q2)  # now phi+
     if label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
         out = apply_pauli(out, PauliOp.Z, q1)
     if label in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS):
@@ -220,8 +219,8 @@ def test_single_qubit_gates_match_reference(n, seed, sparse):
     state = random_state(n, seed, sparse)
     # H is the one single-qubit gate; test_paulis_match_reference covers X and Z.
     for label in state.labels:
-        gate = Gate.h(label)
-        assert np.array_equal(apply_gate(state, gate).amplitudes, ref_apply_gate(state, gate))
+        want = ref_apply_gate(state, GateKind.HADAMARD, label)
+        assert np.array_equal(apply_gate(state, GateKind.HADAMARD, label).amplitudes, want)
 
 
 @pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
@@ -231,8 +230,8 @@ def test_cnot_matches_reference_on_every_ordered_pair(n, seed, sparse):
     for control in state.labels:
         for target in state.labels:
             if control != target:
-                gate = Gate.cnot(control, target)
-                assert np.array_equal(apply_gate(state, gate).amplitudes, ref_apply_gate(state, gate))
+                want = ref_apply_gate(state, GateKind.CNOT, control, target)
+                assert np.array_equal(apply_gate(state, GateKind.CNOT, control, target).amplitudes, want)
 
 
 @pytest.mark.parametrize("n", QUBIT_COUNTS)
@@ -529,13 +528,13 @@ def test_only_measurements_and_drops_make_records(n, seed, sparse):
             return
     assert state._basis is not None and len(state._basis) == n
     q = state.labels[0]
-    results = [apply_gate(state, Gate.h(q)), extend(state, "new"), extend(state, "new", (0.6, 0.8j))]
+    results = [apply_gate(state, GateKind.HADAMARD, q), extend(state, "new"), extend(state, "new", (0.6, 0.8j))]
     results += [apply_pauli(state, op, q) for op in PauliOp]
     results += [relabel(state, q, "renamed"), dataclasses.replace(state)]
     results += [dataclasses.replace(state, amplitudes=state.amplitudes.copy())]
     results += [prepare_bell(extend(extend(state, "P"), "Q"), "P", "Q", label) for label in BellLabel]
     if n > 1:
-        results += [apply_gate(state, Gate.cnot(q, state.labels[1]))]
+        results += [apply_gate(state, GateKind.CNOT, q, state.labels[1])]
     for out in results:
         assert out._basis is None and "_basis" not in out.__dict__
 

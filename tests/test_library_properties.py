@@ -6,14 +6,15 @@ and ``apply_pauli`` over their enum members and stray values such as the
 members' string values, the other enum, None and unhashable values, the
 single-channel drivers over stray ``approach`` values, and the Bell-layer
 conversions (syndrome bits, two-bit messages, labels) over stray bits,
-indices, labels and messages. ``Gate`` and ``apply_gate`` get stray gate
-kinds, targets and gates; ``measure_qubit``, ``drop_qubit``,
-``reduced_density``, ``Custody.holder`` and the QND primitives stray labels;
-``new_register`` stray label sequences; ``InputSpec`` and
-``InputSpec.explicit`` stray amplitudes (the two agree, and every number type
-complex() takes is stored as a complex) and the single-channel drivers stray
-input sequences, and the leakage metrics ``trace_distance`` and
-``total_variation`` stray matrices and distributions. Any other exception, or any numpy RuntimeWarning, fails the
+indices, labels and messages. ``apply_gate`` gets stray gate kinds and
+targets; ``measure_qubit``, ``drop_qubit``, ``reduced_density``,
+``Custody.holder`` and the QND primitives stray labels; ``new_register``
+stray label sequences; ``InputSpec`` and ``InputSpec.explicit`` stray
+amplitudes (the two agree, and every number type complex() takes is stored
+as a complex); the single-channel drivers stray input sequences; the
+measurements and the three drivers stray generators; and the leakage metrics
+``trace_distance`` and ``total_variation`` stray matrices, non-Hermitian
+differences included, and distributions. Any other exception, or any numpy RuntimeWarning, fails the
 property. A QND measurement of a qubit with itself or of a stray label is
 rejected before any draw, and stray arguments fail on a node of a shared run
 tree exactly as on an unshared copy of it.
@@ -35,6 +36,7 @@ from teleportsim.bell import (
     SYNDROME_TO_BELL,
     TwoBitMessage,
     apply_qnd_circuit,
+    decode_superdense,
     label_to_message,
     message_to_label,
     qnd_bell_measure,
@@ -44,10 +46,10 @@ from teleportsim.bell import (
 from teleportsim.core import (
     BELL_AMPLITUDES,
     BellLabel,
-    Gate,
     GateKind,
     PauliOp,
     StateVector,
+    _shared,
     apply_gate,
     apply_pauli,
     drop_qubit,
@@ -57,7 +59,16 @@ from teleportsim.core import (
     prepare_bell,
     reduced_density,
 )
-from teleportsim.protocol import Approach, Custody, InputSpec, Party, run_op_baseline, run_single_channel_aqt
+from teleportsim.protocol import (
+    Approach,
+    Custody,
+    InputSpec,
+    Ledger,
+    Party,
+    run_op_baseline,
+    run_single_channel_aqt,
+    run_two_channel_aqt,
+)
 
 _PARTS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 2.0, 1.0])
 _COMPLEX = st.builds(complex, _PARTS, _PARTS)
@@ -178,26 +189,34 @@ def test_single_channel_drivers_take_only_approaches(approach):
     assert (leaks is not None) == isinstance(approach, Approach)
 
 
-@given(kind=st.sampled_from(GateKind) | st.sampled_from(PauliOp) | _STRAYS, targets=_STRAYS | st.just(("A", "B")))
-@example(kind="X", targets=("A",))
-@example(kind="CNOT", targets=("A", "B"))
-@example(kind=GateKind.HADAMARD, targets=5)
-@example(kind=GateKind.CNOT, targets={"A": 0, "B": 1})
-def test_gate_takes_only_gate_kinds(kind, targets):
-    gate = _strict(Gate, kind, targets)
-    if not isinstance(kind, GateKind):
-        assert gate is None
+@given(kind=st.sampled_from(GateKind) | st.sampled_from(PauliOp) | _STRAYS, n=st.integers(0, 3))
+@example(kind="X", n=1)
+@example(kind="CNOT", n=2)
+@example(kind=["H"], n=1)
+@example(kind=GateKind.HADAMARD, n=2)
+@example(kind=GateKind.CNOT, n=1)
+@example(kind=SimpleNamespace(kind=GateKind.HADAMARD, targets=("A",)), n=1)
+def test_gate_takes_only_gate_kinds(kind, n):
+    """A stray kind, or a kind given the wrong number of labels, raises ValueError."""
+    state = _strict(apply_gate, new_register(("A", "B", "C")), kind, *("A", "B", "C")[:n])
+    assert (state is not None) == ((kind is GateKind.HADAMARD and n == 1) or (kind is GateKind.CNOT and n == 2))
 
 
-@given(gate=st.sampled_from([Gate.h("A"), Gate.cnot("A", "B")]) | st.sampled_from(GateKind) | _STRAYS)
-@example(gate="H")
-@example(gate=GateKind.HADAMARD)
-@example(gate=["H"])
-@example(gate=SimpleNamespace(kind=GateKind.HADAMARD, targets=("A",)))
-@example(gate=SimpleNamespace(kind="drop", targets="A"))
-def test_apply_gate_takes_only_gates(gate):
-    state = _strict(apply_gate, new_register(("A", "B")), gate)
-    assert (state is not None) == isinstance(gate, Gate)
+@given(kind=st.sampled_from(GateKind), stray=_STRAYS | st.sampled_from(["A", "B", "C"]), position=st.integers(0, 1))
+@example(kind=GateKind.HADAMARD, stray=["A"], position=0)
+@example(kind=GateKind.HADAMARD, stray=("A",), position=0)
+@example(kind=GateKind.CNOT, stray={"A": 0}, position=1)
+@example(kind=GateKind.CNOT, stray=np.zeros(2), position=0)
+@example(kind=GateKind.CNOT, stray="A", position=1)
+def test_apply_gate_takes_only_gates(kind, stray, position):
+    """Each target in turn replaced by a stray: only a register label, for a CNOT
+    one that differs from the other target, gives a state; all else ValueError."""
+    targets = ["A", "B"][: 1 if kind is GateKind.HADAMARD else 2]
+    position = min(position, len(targets) - 1)
+    targets[position] = stray
+    valid = isinstance(stray, str) and stray in ("A", "B", "C") and targets.count(stray) == 1
+    state = _strict(apply_gate, new_register(("A", "B", "C")), kind, *targets)
+    assert (state is not None) == valid
 
 
 @given(label=st.sampled_from(["A", "B"]) | _STRAYS)
@@ -230,6 +249,7 @@ _DISTRIBUTION = {label: 0.25 for label in BellLabel}
 @example(stray={BellLabel.PSI_PLUS: np.ones(2)}, position=0)
 @example(stray={BellLabel.PSI_PLUS: math.nan}, position=1)
 @example(stray={BellLabel.PHI_MINUS: math.inf}, position=0)
+@example(stray=[[1, 5], [0, 0]], position=0)
 def test_leakage_metrics_take_only_matrices_and_distributions(stray, position):
     """trace_distance takes two square matrices of one shape and finite entries,
     total_variation two mappings from Bell labels to finite numbers (an empty
@@ -245,6 +265,62 @@ def test_leakage_metrics_take_only_matrices_and_distributions(stray, position):
         assert (_strict(metric, *args) is not None) == taken
     for shape in ((4, 4), (1, 1), (2, 1)):  # (1, 1) would broadcast against (2, 2)
         assert _strict(trace_distance, MAXIMALLY_MIXED, np.ones(shape)) is None
+
+
+def test_trace_distance_takes_differences_hermitian_within_1e_12():
+    """eigvalsh reads one triangle of a - b, so an entry off its mirror's conjugate
+    by more than 1e-12, on the diagonal too, raises; rounding-level asymmetry does not."""
+    for entry, ok in ((4e-13, True), (4e-13j, True), (2e-12, False), (2e-12j, False)):
+        off = np.array([[0.5, entry], [0.0, 0.5]])
+        assert (_strict(trace_distance, off, MAXIMALLY_MIXED) is not None) == ok
+        assert (_strict(trace_distance, MAXIMALLY_MIXED, off.T) is not None) == ok
+        # A diagonal entry is its own mirror: 2 * |its imaginary part| counts.
+        diagonal = np.diag([0.5 + abs(entry) * 1j, 0.5])
+        assert (_strict(trace_distance, diagonal, MAXIMALLY_MIXED) is not None) == ok
+
+
+@given(stray=_STRAYS)
+@example(stray=None)
+@example(stray=np.zeros(2))
+@example(stray=SimpleNamespace(random=0.5, uniform=0.5))
+def test_strays_are_no_generators(stray):
+    """A stray rng raises ValueError: a measurement at its draw, storing nothing
+    on a shared node, and each driver before it changes its ledger or grows a
+    run tree."""
+    state = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PSI_MINUS)
+    assert _strict(measure_qubit, state, "A", stray) is None
+    node = _shared(StateVector(state.labels, state.amplitudes.copy()))
+    for _ in range(2):
+        assert _strict(measure_qubit, node, "A", stray) is None
+        assert node._memo == {}
+    assert _strict(decode_superdense, state, "A", "B", stray) is None
+    assert _strict(qnd_bell_measure, extend(state, "C", (0.6, 0.8j)), "A", "C", stray) is None
+    for spec in (InputSpec.explicit(0.6, 0.8j), InputSpec.haar()):
+        runs = (
+            lambda ledger: run_op_baseline(spec, BellLabel.PSI_MINUS, stray, ledger),
+            lambda ledger: run_two_channel_aqt(spec, BellLabel.PSI_MINUS, stray, ledger),
+            lambda ledger: run_single_channel_aqt([spec], Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, stray, ledger),
+        )
+        for run in runs:
+            ledger = Ledger()
+            assert _strict(run, ledger) is None
+            assert ledger == Ledger()
+        assert "_roots" not in spec.__dict__
+
+
+def test_stand_ins_are_taken_by_their_methods():
+    """A measurement takes a stand-in with a callable random, a driver one that also
+    has uniform; what a draw returns is checked where it is used."""
+    state = prepare_bell(new_register(("A", "B")), "A", "B", BellLabel.PSI_MINUS)
+    random_only = SimpleNamespace(random=np.random.default_rng(0).random)
+    assert _strict(measure_qubit, state, "A", random_only) is not None
+    ledger = Ledger()
+    assert _strict(run_op_baseline, InputSpec.explicit(0.6, 0.8j), BellLabel.PSI_MINUS, random_only, ledger) is None
+    assert ledger == Ledger()
+    junk = SimpleNamespace(random=lambda: "0.5", uniform=lambda low, high: low)
+    assert _strict(measure_qubit, state, "A", junk) is None
+    for spec in (InputSpec.explicit(0.6, 0.8j), InputSpec.haar()):
+        assert _strict(run_op_baseline, spec, BellLabel.PSI_MINUS, junk) is None
 
 
 @given(keep=_STRAYS)
@@ -388,7 +464,7 @@ def test_message_from_index_takes_only_ints(index):
     msg = _strict(TwoBitMessage.from_index, index)
     assert (msg is not None) == (type(index) is int and 0 <= index < 4)
     if msg is not None:
-        assert msg.index == index
+        assert 2 * msg.hi + msg.lo == index
 
 
 @given(label=st.sampled_from(BellLabel) | st.sampled_from(PauliOp) | _STRAYS)
@@ -495,8 +571,10 @@ def _stray_calls(stray, seed):
         "extend amplitudes": lambda s: extend(s, "R", stray),
         "apply_pauli op": lambda s: apply_pauli(s, stray, "B"),
         "apply_pauli target": lambda s: apply_pauli(s, PauliOp.XZ, stray),
-        "apply_gate gate": lambda s: apply_gate(s, stray),
-        "apply_gate target": lambda s: apply_gate(s, Gate(GateKind.HADAMARD, (stray,))),
+        "apply_gate kind": lambda s: apply_gate(s, stray, "B"),
+        "apply_gate target": lambda s: apply_gate(s, GateKind.HADAMARD, stray),
+        "apply_gate control": lambda s: apply_gate(s, GateKind.CNOT, stray, "B"),
+        "apply_gate CNOT target": lambda s: apply_gate(s, GateKind.CNOT, "B", stray),
         "drop_qubit": lambda s: drop_qubit(s, stray),
         "reduced_density keep": lambda s: reduced_density(s, stray),
         "reduced_density label": lambda s: reduced_density(s, ("B", stray)),
@@ -513,21 +591,21 @@ def _stray_calls(stray, seed):
 @example(stray="B", seed=1)
 @example(stray=np.zeros(2), seed=2)
 @example(stray=None, seed=3)
-@example(stray=SimpleNamespace(kind="measure", targets="B"), seed=0)
-@example(stray=SimpleNamespace(kind="drop", targets="B"), seed=1)
-@example(stray=SimpleNamespace(kind="rho", targets=("B",)), seed=2)
+@example(stray="measure", seed=0)
+@example(stray="drop", seed=1)
+@example(stray="rho", seed=2)
 def test_strays_fail_on_a_shared_state_as_on_an_unshared_copy(stray, seed):
     """A shared run tree's memo never changes an error: an unhashable memo key
     would raise TypeError before the primitive's own check, and a stored result
     must never answer a call that fails on an unshared state, nor a call of
-    another primitive, such as a gate look-alike whose fields spell a
-    measurement's memo key."""
+    another primitive, such as a gate whose kind spells a measurement's memo
+    key. A gate call that fails stores nothing."""
     spec = InputSpec.explicit(0.6, 0.8j)
     for i in range(4):
         report = run_op_baseline(spec, BellLabel.PSI_MINUS, np.random.default_rng(i), run_index=i)
     # A one-qubit final state and a three-qubit node grown from it, both shared.
     shared = extend(report.final_state, "C", (0.6, 0.8))
-    shared = apply_gate(extend(shared, "A"), Gate.cnot("C", "A"))
+    shared = apply_gate(extend(shared, "A"), GateKind.CNOT, "C", "A")
     assert "_memo" in shared.__dict__
     for node in (report.final_state, shared):
         for label in node.labels:  # a memo entry of each kind the node can hold
@@ -539,3 +617,17 @@ def test_strays_fail_on_a_shared_state_as_on_an_unshared_copy(stray, seed):
             want = _outcome(call, fresh)
             for _ in range(2):  # the second call meets what the first stored
                 assert _same(_outcome(call, node), want), name
+        for label in node.labels:
+            # Other primitives' key spellings, unhashable kinds and targets, wrong arities, a self-pair.
+            for args in [
+                ("measure", label), ("drop", label), ("rho", (label,)), ("rho", label), (["H"], label),
+                ({"H": 0}, label), (GateKind.HADAMARD, [label]), (GateKind.CNOT, label, [label]),
+                (GateKind.HADAMARD,), (GateKind.HADAMARD, label, label), (GateKind.CNOT, label),
+                (GateKind.CNOT, label, label),
+            ]:
+                stored = set(node._memo)
+                want = _outcome(apply_gate, fresh, *args)
+                assert want[0] is ValueError, args
+                for _ in range(2):
+                    assert _outcome(apply_gate, node, *args) == want, args
+                assert set(node._memo) == stored, args

@@ -6,7 +6,8 @@ whose name does not start with an underscore. Each must be named somewhere
 outside its own definition: in another part of src/, in perfbench/ (its own
 tests excluded), in tools/ or in README.md. A re-export in __init__.py does
 not count, and neither do the tests, so a helper that only tests call fails
-here and belongs in the tests.
+here and belongs in the tests. The same holds for each public method and
+property of a public class.
 """
 
 import ast
@@ -50,6 +51,35 @@ def test_every_public_name_is_used_outside_its_definition(path, name, first, las
     pattern = re.compile(rf"\b{re.escape(name)}\b")
     assert pattern.search("\n".join([own, others, _elsewhere()])), (
         f"{path.stem}.{name} is named only in its own definition, __init__.py or the tests"
+    )
+
+
+def _members(path):
+    """(class, name, first line, last line, is a property) of each public method of a public class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    prop = any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+                    yield node.name, item.name, first, item.end_lineno, prop
+
+
+MEMBERS = [(path, *m) for path in MODULES for m in _members(path)]
+
+
+@pytest.mark.parametrize(
+    "path,cls,name,first,last,prop", MEMBERS, ids=[f"{p.stem}.{c}.{n}" for p, c, n, _, _, _ in MEMBERS]
+)
+def test_every_public_method_is_used_outside_its_definition(path, cls, name, first, last, prop):
+    """A method is named as an attribute, .name; a property is read as one, so
+    .name followed by a call, such as tuple.index(...), does not count for it."""
+    lines = path.read_text().splitlines()
+    own = "\n".join(lines[: first - 1] + lines[last:])
+    others = "\n".join(p.read_text() for p in MODULES if p != path)
+    pattern = re.compile(rf"\.{re.escape(name)}\b" + (r"(?!\s*\()" if prop else ""))
+    assert pattern.search("\n".join([own, others, _elsewhere()])), (
+        f"{path.stem}.{cls}.{name} is named only in its own definition or the tests"
     )
 
 

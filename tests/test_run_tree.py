@@ -29,7 +29,7 @@ from teleportsim import protocol
 from teleportsim.adversary import PairObserver, message_interception_report
 from teleportsim.core import (
     BellLabel,
-    Gate,
+    GateKind,
     PauliOp,
     StateVector,
     apply_gate,
@@ -318,8 +318,8 @@ def _every_call(labels, rng):
     """Each primitive over every argument it takes on this register, amplitudes
     that differ only in signed zeros included."""
     calls = [lambda s, op=op, q=q: apply_pauli(s, op, q) for op in PauliOp for q in labels]
-    calls += [lambda s, q=q: apply_gate(s, Gate.h(q)) for q in labels]
-    calls += [lambda s, c=c, t=t: apply_gate(s, Gate.cnot(c, t)) for c in labels for t in labels if c != t]
+    calls += [lambda s, q=q: apply_gate(s, GateKind.HADAMARD, q) for q in labels]
+    calls += [lambda s, c=c, t=t: apply_gate(s, GateKind.CNOT, c, t) for c in labels for t in labels if c != t]
     calls += [lambda s, q=q: drop_qubit(s, q) for q in labels]
     calls += [lambda s, q=q: measure_qubit(s, q, rng(q)) for q in labels]
     calls += [lambda s, keep=keep: reduced_density(s, keep) for keep in permutations(labels, 2)]
@@ -341,7 +341,7 @@ def test_memo_tells_every_argument_apart(pair, seed):
     spec = InputSpec.explicit(*pair)
     report = run_op_baseline(spec, BellLabel.PSI_MINUS, _rng(seed, 0))
     node = extend(extend(report.final_state, "C", (0.6, 0.8j)), "A", (_S, complex(-0.0, _S)))
-    node = apply_gate(node, Gate.cnot("C", "A"))
+    node = apply_gate(node, GateKind.CNOT, "C", "A")
     assert "_memo" in node.__dict__
     fresh = StateVector(node.labels, node.amplitudes.copy())
 
