@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .bell import BELL_ORDER, SUPERDENSE_DECODING, SUPERDENSE_ENCODING, SYNDROME
 from .bell import CORRECTIONS, label_to_message
 from .core import BellLabel
 from .protocol import (
-    Approach,
+    _APPROACH_VARIANT,
     InputSpec,
     Ledger,
     ProtocolError,
@@ -58,6 +58,8 @@ FIDELITY_OK = 1e-9  # report-level threshold, looser than the test tolerances
 # --runs is capped until reports are streamed.
 MAX_RUNS = 100_000
 
+_SINGLE_CHANNEL = {variant: approach for approach, variant in _APPROACH_VARIANT.items()}
+
 
 class EveMode(enum.Enum):
     NONE = "none"
@@ -67,14 +69,14 @@ class EveMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What a run experiment simulates: exactly the report's config section."""
+
     variant: Variant
     runs: int
     channel: BellLabel
     input_spec: InputSpec
     seed: int
     eve: EveMode
-    fmt: str
-    out: str | None
 
 
 @dataclass
@@ -124,11 +126,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
                     raise ProtocolError(f"run {i}: dual run without an interceptor returned no report")
                 reports.append(report)
     else:
-        approach = (
-            Approach.RESTORE_CHANNEL
-            if config.variant is Variant.SINGLE_CHANNEL_RESTORE
-            else Approach.TRACK_CHANNEL
-        )
+        approach = _SINGLE_CHANNEL[config.variant]
         rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
         interceptor = PairObserver() if config.eve is EveMode.PAIR else None
         reports = run_single_channel_aqt(
@@ -237,7 +235,7 @@ def render_json(config: ExperimentConfig, outcome: ExperimentOutcome) -> str:
             ',\n    "runs": ', _json_list(map(_json_leak, outcome.eve_reports), "    "), "\n  }",
         ]
     parts += [
-        ',\n  "ledger": ', _json_field(outcome.ledger.as_dict()),
+        ',\n  "ledger": ', _json_field(asdict(outcome.ledger)),
         ',\n  "runs": ', _json_list(map(_json_run, outcome.reports), "  "), "\n}\n",
     ]
     return "".join(parts)
@@ -368,10 +366,7 @@ def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> E
         parser.error("--seed must be nonnegative")
     variant = Variant(args.variant)
     eve = EveMode(args.eve)
-    if eve is EveMode.PAIR and variant not in (
-        Variant.SINGLE_CHANNEL_RESTORE,
-        Variant.SINGLE_CHANNEL_TRACK,
-    ):
+    if eve is EveMode.PAIR and variant not in _SINGLE_CHANNEL:
         parser.error("--eve pair only applies to the single-channel variants")
     if eve is EveMode.QUBIT and variant is not Variant.TWO_CHANNEL:
         parser.error("--eve qubit only applies to the dual variant")
@@ -383,8 +378,6 @@ def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> E
         input_spec=spec,
         seed=args.seed,
         eve=eve,
-        fmt=args.fmt,
-        out=args.out,
     )
 
 
@@ -392,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = parse_config(parser, args) if args.command == "run" else None
-    out = config.out if config else None
+    out = args.out if config else None
     target = f"--out {out}" if out else "stdout"
     try:
         # Opened before the run so that an unwritable path fails fast. Runs and
@@ -405,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
                 code = run_verify()
             else:
                 outcome = run_experiment(config)
-                fh.write(render_json(config, outcome) if config.fmt == "json" else render_text(config, outcome))
+                fh.write(render_json(config, outcome) if args.fmt == "json" else render_text(config, outcome))
                 code = 0 if outcome.all_fidelities_ok else 1
             fh.flush()
     except OSError as exc:

@@ -119,13 +119,6 @@ class Ledger:
             self.classical_bits_transmitted - since.classical_bits_transmitted,
         )
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "epr_pairs_created": self.epr_pairs_created,
-            "qubits_transmitted": self.qubits_transmitted,
-            "classical_bits_transmitted": self.classical_bits_transmitted,
-        }
-
 
 class Custody:
     """Who currently holds each labeled qubit.
@@ -260,9 +253,9 @@ def _start(spec: InputSpec, variant: Variant, channel: BellLabel, labels: tuple[
 
     For an explicit input it is the root of the run tree of (variant, channel),
     kept in the spec's __dict__ outside the dataclass fields, so the tree lives
-    as long as the spec and eq, repr and replace never see it. Haar inputs and
-    stray arguments get a fresh register, and the run's own checks reject the
-    strays as before.
+    as long as the spec and eq, repr and replace never see it. Haar inputs,
+    stand-in specs and stray channels get a fresh register, and the run's own
+    checks reject the strays as before.
     """
     if not isinstance(spec, InputSpec) or spec.random or not isinstance(channel, BellLabel):
         return new_register(labels)
@@ -304,9 +297,17 @@ PairInterceptor = Callable[[StateVector, Custody, str, str, np.random.Generator]
 MessageInterceptor = Callable[[StateVector, Custody, str], None]
 
 
-def _check_rng(rng: np.random.Generator) -> None:  # before a run changes its ledger or a state
+def _check_args(specs: Iterable[object], rng: object, ledger: object, run_index: object = 0) -> None:
+    """Before a run changes its ledger, a state or its generator; stand-ins are taken by their methods."""
+    for spec in specs:
+        if not callable(getattr(spec, "resolve", None)):
+            raise ValueError(f"input must be an InputSpec, got {spec!r}")
     if not (callable(getattr(rng, "random", None)) and callable(getattr(rng, "uniform", None))):
         raise ValueError(f"rng must be a numpy Generator or have random and uniform methods, got {rng!r}")
+    if ledger is not None and not isinstance(ledger, Ledger):
+        raise ValueError(f"ledger must be a Ledger or None, got {ledger!r}")
+    if not isinstance(run_index, int) or isinstance(run_index, bool):
+        raise ValueError(f"run_index must be an int and no bool, got {run_index!r}")
 
 
 def _alice_measures(
@@ -316,11 +317,7 @@ def _alice_measures(
 
     Returns the resolved input amplitudes, her result and the register.
     """
-    try:
-        resolve = spec.resolve
-    except AttributeError:
-        raise ValueError(f"input must be an InputSpec, got {spec!r}") from None
-    amplitudes = resolve(rng)
+    amplitudes = spec.resolve(rng)
     # Charles is a state-preparation step; his handoff is not a counted transmission.
     state = extend(state, "C", amplitudes)
     custody.assign("C", Party.ALICE)
@@ -360,7 +357,7 @@ def run_op_baseline(
     run_index: int = 0,
 ) -> RunReport:
     """One run of the baseline protocol: destroy the pair, send two bits."""
-    _check_rng(rng)
+    _check_args((input_spec,), rng, ledger, run_index)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
@@ -402,15 +399,16 @@ def run_single_channel_aqt(
     repeats the measurement (same label, deterministically), corrects B, then
     either restores the pair to the initial channel or starts tracking the
     collapsed label. A returns to Alice and the old input qubit becomes the
-    new channel half B. No classical bits are ever sent.
+    new channel half B. No classical bits are ever sent. A stray input
+    anywhere in the sequence raises ValueError before the pair is made.
     """
     if not isinstance(approach, Approach):
         raise ValueError(f"not an Approach: {approach!r}")
-    _check_rng(rng)
     try:
-        inputs = iter(inputs)
+        inputs = list(inputs)
     except TypeError:
         raise ValueError(f"inputs must be a sequence of InputSpecs, got {inputs!r}") from None
+    _check_args(inputs, rng, ledger)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
     variant = _APPROACH_VARIANT[approach]
@@ -491,7 +489,7 @@ def run_two_channel_aqt(
     if a message interceptor grabs the qubit in flight (that interception is
     destructive, so the run aborts).
     """
-    _check_rng(rng)
+    _check_args((input_spec,), rng, ledger, run_index)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 

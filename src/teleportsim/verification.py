@@ -9,6 +9,7 @@ vouch for itself.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -304,24 +305,24 @@ def check_resource_claims() -> CheckResult:
             ledger,
         )
         if (ledger.epr_pairs_created, ledger.qubits_transmitted, ledger.classical_bits_transmitted) != (1, 30, 0):
-            return False, f"single-channel ledger off: {ledger.as_dict()}"
+            return False, f"single-channel ledger off: {asdict(ledger)}"
         total = Ledger()
         for r in reports:
             total.epr_pairs_created += r.ledger_delta.epr_pairs_created
             total.qubits_transmitted += r.ledger_delta.qubits_transmitted
             total.classical_bits_transmitted += r.ledger_delta.classical_bits_transmitted
-        if total.as_dict() != ledger.as_dict():
+        if total != ledger:
             return False, "per-run deltas do not partition the totals"
     ledger = Ledger()
     for i in range(5):
         run_op_baseline(InputSpec.haar(), BellLabel.PSI_MINUS, np.random.default_rng(i), ledger, i)
     if (ledger.epr_pairs_created, ledger.qubits_transmitted, ledger.classical_bits_transmitted) != (5, 0, 10):
-        return False, f"baseline ledger off: {ledger.as_dict()}"
+        return False, f"baseline ledger off: {asdict(ledger)}"
     ledger = Ledger()
     for i in range(3):
         run_two_channel_aqt(InputSpec.haar(), BellLabel.PSI_MINUS, np.random.default_rng(i), ledger, i)
     ok = (ledger.epr_pairs_created, ledger.qubits_transmitted, ledger.classical_bits_transmitted) == (6, 3, 0)
-    return ok, f"two-channel ledger {ledger.as_dict()}"
+    return ok, f"two-channel ledger {asdict(ledger)}"
 
 
 def check_approach_equivalence() -> CheckResult:
@@ -452,8 +453,6 @@ def check_reproducibility() -> CheckResult:
             input_spec=InputSpec.haar(),
             seed=1,
             eve=cli.EveMode.NONE,
-            fmt="json",
-            out=None,
         )
         first = cli.render_json(config, cli.run_experiment(config))
         second = cli.render_json(config, cli.run_experiment(config))

@@ -6,6 +6,8 @@ PASS or FAIL line per claim. Reference values come from test-local linear
 algebra or from the brute-force oracle module, never from the code path
 under test.
 """
+import dataclasses
+
 import numpy as np
 
 from conftest import CRITERIA, phase_normalized, record
@@ -167,9 +169,9 @@ def test_resource_totals_for_hundred_runs():
     ]
 
     observed = {
-        "restore": restore_ledger.as_dict(),
-        "track": track_ledger.as_dict(),
-        "op": op_ledger.as_dict(),
+        "restore": dataclasses.asdict(restore_ledger),
+        "track": dataclasses.asdict(track_ledger),
+        "op": dataclasses.asdict(op_ledger),
     }
     ok = (
         len(restore_reports) == 100

@@ -49,8 +49,16 @@ class TestParsing:
         assert config.input_spec.random
         assert config.seed == 0
         assert config.eve is EveMode.NONE
-        assert config.fmt == "text"
-        assert config.out is None
+        args = build_parser().parse_args(["run"])
+        assert args.fmt == "text"
+        assert args.out is None
+
+    def test_config_fields_are_the_report_config_section(self):
+        """Output options stay in the parsed arguments; the config holds what the report records."""
+        config = parse_args(["run", "--format", "json", "--out", "report.json"])
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert fields == ["variant", "runs", "channel", "input_spec", "seed", "eve"]
+        assert list(cli._config_dict(config)) == ["variant", "runs", "channel", "input", "seed", "eve"]
 
     def test_explicit_input_parsed(self):
         config = parse_args(["run", "--input", "0.6,0,0.8,0"])
@@ -244,6 +252,20 @@ class TestRunCommand:
             assert leak["disturbance"] <= 1e-9
             assert leak["distinguishability"] <= 1e-9
 
+    @pytest.mark.parametrize("text", ["0.1,0.3,0.3,0.9", "0.6,0,0,0.8"])
+    @pytest.mark.parametrize("variant", ["single-i", "single-ii"])
+    def test_eve_pair_records_of_an_explicit_input_describe_the_printed_runs(self, variant, text):
+        """Replay "a" streams the input itself, so its runs are the printed ones
+        even for an input whose amplitudes a second normalization would move."""
+        for seed in range(3):
+            config = parse_args(["run", "--variant", variant, "--input", text, "--eve", "pair",
+                                 "--runs", "40", "--seed", str(seed)])
+            outcome = run_experiment(config)
+            assert len(outcome.eve_reports) == len(outcome.reports) == 40
+            for r, leak in zip(outcome.reports, outcome.eve_reports):
+                assert leak.disturbance == 1.0 - r.fidelity
+                assert leak.eve_observation is r.alice_result
+
     def test_eve_qubit_report(self, capsys):
         code = main(
             ["run", "--variant", "dual", "--eve", "qubit", "--seed", "7", "--format", "json"]
@@ -272,7 +294,7 @@ def ref_render_json(config, outcome):
             "correction": r.correction.value,
             "fidelity": r.fidelity,
             "channel_after": value(r.channel_after),
-            "ledger_delta": r.ledger_delta.as_dict(),
+            "ledger_delta": dataclasses.asdict(r.ledger_delta),
             "input_amplitudes": cli._amp_pair(*r.input_amplitudes),
         }
 
@@ -286,7 +308,7 @@ def ref_render_json(config, outcome):
     payload = {
         "config": cli._config_dict(config),
         "runs": [run_dict(r) for r in outcome.reports],
-        "ledger": outcome.ledger.as_dict(),
+        "ledger": dataclasses.asdict(outcome.ledger),
         "all_fidelities_ok": outcome.all_fidelities_ok,
     }
     if outcome.eve_reports is not None:
@@ -409,8 +431,6 @@ class TestReproducibility:
                 input_spec=InputSpec.haar(),
                 seed=13,
                 eve=EveMode.NONE,
-                fmt="json",
-                out=None,
             )
             return run_experiment(config).reports
 

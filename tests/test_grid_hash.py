@@ -1,6 +1,6 @@
 """tools/grid_hash.py: the byte-identity grid that compares two source trees.
 
-The grid must list 1344 distinct configs that the CLI accepts, and a line
+The grid must list 1680 distinct configs that the CLI accepts, and a line
 must be the sha256 of the command's stdout, its exit code and its argv.
 """
 
@@ -16,9 +16,9 @@ grid_hash = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(grid_hash)
 
 
-def test_grid_has_1344_distinct_configs_the_cli_accepts():
+def test_grid_has_1680_distinct_configs_the_cli_accepts():
     configs = grid_hash.configs()
-    assert len(configs) == len({tuple(c) for c in configs}) == 1344
+    assert len(configs) == len({tuple(c) for c in configs}) == 1680
     parser = cli.build_parser()
     for argv in configs:
         cli.parse_config(parser, parser.parse_args(argv))

@@ -12,7 +12,8 @@ targets; ``measure_qubit``, ``drop_qubit``, ``reduced_density``,
 stray label sequences; ``InputSpec`` and ``InputSpec.explicit`` stray
 amplitudes (the two agree, and every number type complex() takes is stored
 as a complex); the single-channel drivers stray input sequences; the
-measurements and the three drivers stray generators; and the leakage metrics
+measurements and the three drivers stray generators, and the drivers stray
+inputs, ledgers and run indices; and the leakage metrics
 ``trace_distance`` and ``total_variation`` stray matrices, non-Hermitian
 differences included, and distributions. Any other exception, or any numpy RuntimeWarning, fails the
 property. A QND measurement of a qubit with itself or of a stray label is
@@ -31,7 +32,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from teleportsim.adversary import MAXIMALLY_MIXED, pair_interception_analysis, total_variation, trace_distance
+from teleportsim.adversary import (
+    MAXIMALLY_MIXED,
+    message_interception_report,
+    pair_interception_analysis,
+    total_variation,
+    trace_distance,
+)
 from teleportsim.bell import (
     SYNDROME_TO_BELL,
     TwoBitMessage,
@@ -250,11 +257,14 @@ _DISTRIBUTION = {label: 0.25 for label in BellLabel}
 @example(stray={BellLabel.PSI_PLUS: math.nan}, position=1)
 @example(stray={BellLabel.PHI_MINUS: math.inf}, position=0)
 @example(stray=[[1, 5], [0, 0]], position=0)
+@example(stray=[[1e308, 0], [0, 0]], position=0)
+@example(stray=[[-1e308, 0], [0, 0]], position=1)
 def test_leakage_metrics_take_only_matrices_and_distributions(stray, position):
-    """trace_distance takes two square matrices of one shape and finite entries,
-    total_variation two mappings from Bell labels to finite numbers (an empty
-    one has every label at 0); any other argument in either position raises
-    ValueError."""
+    """trace_distance takes two square matrices of one shape whose entries' real
+    and imaginary parts are at most 2 in modulus, total_variation two mappings
+    from Bell labels to finite numbers (an empty one has every label at 0); any
+    other argument in either position raises ValueError, before a - b can
+    overflow."""
     cases = (
         (trace_distance, MAXIMALLY_MIXED, isinstance(stray, list) and stray == [[1.0, 0.0], [0.0, 0.0]]),
         (total_variation, _DISTRIBUTION, isinstance(stray, dict) and stray == {}),
@@ -265,6 +275,7 @@ def test_leakage_metrics_take_only_matrices_and_distributions(stray, position):
         assert (_strict(metric, *args) is not None) == taken
     for shape in ((4, 4), (1, 1), (2, 1)):  # (1, 1) would broadcast against (2, 2)
         assert _strict(trace_distance, MAXIMALLY_MIXED, np.ones(shape)) is None
+    assert _strict(trace_distance, [[1e308, 0], [0, 0]], [[-1e308, 0], [0, 0]]) is None
 
 
 def test_trace_distance_takes_differences_hermitian_within_1e_12():
@@ -306,6 +317,38 @@ def test_strays_are_no_generators(stray):
             assert _strict(run, ledger) is None
             assert ledger == Ledger()
         assert "_roots" not in spec.__dict__
+
+
+@given(stray=_STRAYS)
+@example(stray=None)
+@example(stray=True)
+@example(stray="i")
+@example(stray=-1)
+@example(stray=SimpleNamespace(resolve=0.5))
+def test_strays_are_no_inputs_ledgers_or_run_indices(stray):
+    """A stray input, ledger or run index raises ValueError before a driver
+    changes its ledger or takes a draw, in a stream also after a good input.
+    None is a ledger and any int but a bool a run index."""
+    spec, channel = InputSpec.explicit(0.6, 0.8j), BellLabel.PSI_MINUS
+    index_ok = isinstance(stray, int) and not isinstance(stray, bool)
+    calls = (
+        (lambda rng, ledger: run_op_baseline(stray, channel, rng, ledger), False),
+        (lambda rng, ledger: run_two_channel_aqt(stray, channel, rng, ledger), False),
+        (lambda rng, ledger: run_single_channel_aqt([spec, stray], Approach.TRACK_CHANNEL, channel, rng, ledger), False),
+        (lambda rng, ledger: pair_interception_analysis(spec, stray, Approach.TRACK_CHANNEL, channel, 0), False),
+        (lambda rng, ledger: run_op_baseline(spec, channel, rng, stray), stray is None),
+        (lambda rng, ledger: run_two_channel_aqt(spec, channel, rng, stray), stray is None),
+        (lambda rng, ledger: run_single_channel_aqt([spec], Approach.TRACK_CHANNEL, channel, rng, stray), stray is None),
+        (lambda rng, ledger: run_op_baseline(spec, channel, rng, ledger, stray), index_ok),
+        (lambda rng, ledger: run_two_channel_aqt(spec, channel, rng, ledger, stray), index_ok),
+        (lambda rng, ledger: message_interception_report(spec, channel, rng, stray, ledger), index_ok),
+    )
+    for call, ok in calls:
+        rng, ledger = np.random.default_rng(0), Ledger()
+        untouched = rng.bit_generator.state
+        assert (_strict(call, rng, ledger) is not None) == ok
+        if not ok:
+            assert ledger == Ledger() and rng.bit_generator.state == untouched
 
 
 def test_stand_ins_are_taken_by_their_methods():

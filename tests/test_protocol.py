@@ -46,11 +46,7 @@ class TestOpBaseline:
     def test_per_run_resources(self):
         ledger = Ledger()
         report = run_op_baseline(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(42), ledger)
-        assert report.ledger_delta.as_dict() == {
-            "epr_pairs_created": 1,
-            "qubits_transmitted": 0,
-            "classical_bits_transmitted": 2,
-        }
+        assert report.ledger_delta == Ledger(epr_pairs_created=1, qubits_transmitted=0, classical_bits_transmitted=2)
         assert ledger.classical_bits_transmitted == 2
 
     def test_pair_is_consumed(self):
@@ -135,7 +131,7 @@ class TestSingleChannel:
             totals.epr_pairs_created += r.ledger_delta.epr_pairs_created
             totals.qubits_transmitted += r.ledger_delta.qubits_transmitted
             totals.classical_bits_transmitted += r.ledger_delta.classical_bits_transmitted
-        assert totals.as_dict() == ledger.as_dict()
+        assert totals == ledger
         # The pair is created once, before the first run.
         assert reports[0].ledger_delta.epr_pairs_created == 1
         assert all(r.ledger_delta.epr_pairs_created == 0 for r in reports[1:])
@@ -162,11 +158,7 @@ class TestTwoChannel:
     def test_per_run_resources(self):
         report = run_two_channel_aqt(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(53))
         assert report is not None
-        assert report.ledger_delta.as_dict() == {
-            "epr_pairs_created": 2,
-            "qubits_transmitted": 1,
-            "classical_bits_transmitted": 0,
-        }
+        assert report.ledger_delta == Ledger(epr_pairs_created=2, qubits_transmitted=1, classical_bits_transmitted=0)
 
     def test_identity_correction_when_result_matches_channel(self):
         for i in range(40):

@@ -6,8 +6,9 @@
 SOURCE_TREE is a checkout of this repository (default: the one holding this
 script); teleportsim is imported from its src/ directory. One process runs
 `teleportsim run` over op/dual/single-i/single-ii x 4 channels x seeds 0-5 x
-every valid --eve x a Haar and three explicit inputs (one with signed zeros)
-x json/text, at 25 runs each (1344 configs), then `verify` and `tables`. Each
+every valid --eve x a Haar and four explicit inputs (one with signed zeros,
+one whose amplitudes a second normalization moves) x json/text, at 25 runs
+each (1680 configs), then `verify` and `tables`. Each
 output line is "<sha256 of stdout> <exit code> <argv>", so diffing the output
 of two trees names every config whose report or exit code changed:
 
@@ -35,6 +36,9 @@ INPUTS = (
     # Run-tree keys read amplitude bytes, so -0.0 and 0.0 take different paths.
     # One token: argparse would take a separate "-0.0,..." for an option.
     ("--input=-0.0,0.0,0.7071067811865476,-0.7071067811865475",),
+    # Normalizing its parsed amplitudes again changes their bytes, so a replay
+    # that resolves the input twice teleports another state.
+    ("--input", "0.1,0.3,0.3,0.9"),
 )
 FORMATS = ("json", "text")
 RUNS = 25
