@@ -7,6 +7,11 @@ On the two-channel protocol she can grab the superdense message qubit, which
 is destructive, so the run aborts and she is left with a reduced density
 matrix. The metrics quantify what either observation reveals about the
 teleported input: nothing, which is the point of the analysis.
+
+Arguments are checked at the public boundary. trace_distance checks its
+matrices and their difference, then hands the difference to one eigvalsh
+kernel; the analyses hand that kernel their differences of reduced_density
+outputs straight away, since the engine makes those Hermitian square matrices.
 """
 from __future__ import annotations
 
@@ -69,15 +74,21 @@ def _square(m: object) -> np.ndarray:
     return out
 
 
+def _half_trace_norm(diff: np.ndarray) -> float:
+    """Half the trace norm of a Hermitian matrix; eigvalsh reads one triangle.
+    np.add.reduce gives the bits of np.sum without its dispatch."""
+    return float(0.5 * np.add.reduce(np.abs(np.linalg.eigvalsh(diff)), None))
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b, which must be Hermitian within 1e-12: eigvalsh reads one triangle."""
+    """Half the trace norm of a - b, which must be Hermitian within 1e-12."""
     a, b = _square(a), _square(b)
     if a.shape != b.shape:
         raise ValueError(f"density matrices differ in shape: {a.shape} vs {b.shape}")
     rows = (diff := a - b).tolist()  # scalar entry reads, as in _square: cheaper than array ops on a 2x2 or 4x4
     if not all(abs(row[j] - rows[j][i].conjugate()) <= 1e-12 for i, row in enumerate(rows) for j in range(i, len(row))):
         raise ValueError(f"density matrices differ by a non-Hermitian matrix: {rows!r}")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return _half_trace_norm(diff)
 
 
 def total_variation(p: dict[BellLabel, float], q: dict[BellLabel, float]) -> float:
@@ -178,7 +189,7 @@ def pair_interception_analysis(
     for i in range(runs):
         ra = reports_a[i]
         tv = total_variation(_distribution(ra), _distribution(reports_b[i]))
-        td = trace_distance(obs_a.pair_states[i], obs_b.pair_states[i])
+        td = _half_trace_norm(obs_a.pair_states[i] - obs_b.pair_states[i])
         out.append(
             LeakageReport(
                 eve_observation=obs_a.labels[i],
@@ -229,5 +240,5 @@ def message_interception_report(
     return LeakageReport(
         eve_observation=None,
         disturbance=1.0,
-        distinguishability=trace_distance(captured[0], MAXIMALLY_MIXED),
+        distinguishability=_half_trace_norm(captured[0] - MAXIMALLY_MIXED),
     )

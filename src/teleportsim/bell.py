@@ -26,6 +26,7 @@ from .core import (
     extend,
     drop_qubit,
     measure_qubit,
+    _not_a_state,
 )
 
 # Fixed serialization order, BellLabel's declaration order; also fixes the
@@ -153,12 +154,20 @@ CORRECTIONS: dict[tuple[BellLabel, BellLabel], PauliOp] = {
 
 
 def _fresh(state: StateVector, base: str) -> str:
-    if base not in state.labels:
+    try:
+        labels = state.labels
+    except AttributeError:
+        raise _not_a_state(state) from None
+    if base not in labels:
         return base
     i = 1
-    while f"{base}{i}" in state.labels:
+    while f"{base}{i}" in labels:
         i += 1
     return f"{base}{i}"
+
+
+# Bound once: a member lookup on an enum class costs about ten local reads.
+_CNOT, _HADAMARD = GateKind.CNOT, GateKind.HADAMARD
 
 
 def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> StateVector:
@@ -171,15 +180,14 @@ def apply_qnd_circuit(state: StateVector, q1: str, q2: str, d: str, e: str) -> S
     """
     if q1 == q2:
         raise ValueError(f"QND pair members q1 and q2 must be two qubits, got {q1!r} twice")
-    cnot, h = GateKind.CNOT, GateKind.HADAMARD  # looked up once, as apply_gate explains
-    out = apply_gate(state, cnot, q1, d)
-    out = apply_gate(out, cnot, q2, d)
-    out = apply_gate(out, h, q1)
-    out = apply_gate(out, h, q2)
-    out = apply_gate(out, cnot, q1, e)
-    out = apply_gate(out, cnot, q2, e)
-    out = apply_gate(out, h, q1)
-    return apply_gate(out, h, q2)
+    out = apply_gate(state, _CNOT, q1, d)
+    out = apply_gate(out, _CNOT, q2, d)
+    out = apply_gate(out, _HADAMARD, q1)
+    out = apply_gate(out, _HADAMARD, q2)
+    out = apply_gate(out, _CNOT, q1, e)
+    out = apply_gate(out, _CNOT, q2, e)
+    out = apply_gate(out, _HADAMARD, q1)
+    return apply_gate(out, _HADAMARD, q2)
 
 
 def _with_syndrome(state: StateVector, q1: str, q2: str) -> tuple[StateVector, str, str]:
@@ -240,8 +248,8 @@ def decode_superdense(
     Bell inputs; the measured qubits stay in the register for the caller to
     discard.
     """
-    out = apply_gate(state, GateKind.CNOT, qa, qb)
-    out = apply_gate(out, GateKind.HADAMARD, qa)
+    out = apply_gate(state, _CNOT, qa, qb)
+    out = apply_gate(out, _HADAMARD, qa)
     hi, out = measure_qubit(out, qa, rng)
     lo, out = measure_qubit(out, qb, rng)
     return TwoBitMessage(hi, lo), out

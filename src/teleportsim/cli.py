@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import verification
 from .adversary import (
     LeakageReport,
     PairObserver,
@@ -96,6 +95,10 @@ def _amp_pair(a: complex, b: complex) -> list[list[str]]:
 
 
 def _per_run_rng(seed: int, run_index: int) -> np.random.Generator:
+    """The generator seeded (seed, run_index). A value below 2**32 is one entropy word,
+    so a uint32 array seeds as the list does, with less coercion."""
+    if 0 <= seed < 2**32 and 0 <= run_index < 2**32:
+        return np.random.default_rng(np.random.SeedSequence(np.array([seed, run_index], dtype=np.uint32)))
     return np.random.default_rng(np.random.SeedSequence([seed, run_index]))
 
 
@@ -302,6 +305,10 @@ def render_tables() -> str:
 
 
 def run_verify() -> int:
+    # Imported here: verification and the oracle it loads serve only this command,
+    # and every process would otherwise compile them at import.
+    from . import verification
+
     results = verification.run_checks()
     failed = 0
     for name, ok, detail in results:

@@ -27,15 +27,20 @@ under np.array_equal to the gate-by-gate tensordot/moveaxis/kron
 formulation (tests/test_kernels.py holds that reference), so seeded reports
 stay byte for byte the same; only signed zeros may differ.
 
-Dropping decides from what the engine already knows. Each branch measure_qubit
-computes records that its target now sits in |outcome> (a "_basis" dict of
-label -> bit on the instance, outside the dataclass fields), together with
-its parent's records, and drop_qubit hands the records of the kept qubits on.
-A recorded qubit's other half is exact zeros: it was assigned 0.0 and divided
-by a finite norm, and slicing or contracting another qubit away keeps zeros
-zero. So dropping it is one slice and one renormalization, the result the
-basis-state search below would find. No other primitive, and no
-dataclasses.replace, makes a state with a record. For an unrecorded qubit,
+Dropping and pairing decide from what the engine already knows. A record
+says that a qubit sits in a basis state (a "_basis" dict of label -> bit on
+the instance, outside the dataclass fields). new_register records every qubit
+in |0>; each branch measure_qubit computes records that its target now sits
+in |outcome>, together with its parent's records; drop_qubit and prepare_bell
+hand the records of the other qubits on. A recorded qubit's other half is
+exact zeros: it was assigned 0.0 and divided by a finite norm, or multiplied
+by a finite table entry, and slicing or contracting another qubit away keeps
+zeros zero. Every recorded register is normalized to rounding. So dropping a
+recorded qubit is one slice and one renormalization, the result the
+basis-state search below would find, and prepare_bell on two qubits recorded
+in |0> skips its scan, which the records prove would pass (one recorded in
+|1> proves it would fail). No other primitive, and no dataclasses.replace,
+makes a state with a record. For an unrecorded qubit,
 drop_qubit first builds the rho its eigh path needs and runs the two
 basis-state sums, in their old order, only when a diagonal entry of rho is
 below 2 * NORM_TOL**2 or NaN: rho's diagonal and the sums agree far inside a
@@ -121,6 +126,10 @@ class GateKind(enum.Enum):
     CNOT = "CNOT"
 
 
+# Bound once: a member lookup on an enum class costs about ten local reads.
+_CNOT, _HADAMARD = GateKind.CNOT, GateKind.HADAMARD
+
+
 @dataclass
 class StateVector:
     """Immutable-by-convention state of a labeled register.
@@ -130,10 +139,10 @@ class StateVector:
     field. The class is not frozen, because the primitives build one per
     call and a frozen __init__ costs more than twice as much; the read-only
     amplitudes of every measured branch and every shared result are the real
-    guard. The convention is load-bearing: measure_qubit records on each
-    branch that its target sits in a basis state, which drop_qubit trusts,
-    and a node of a shared run tree memoizes the results of every primitive
-    on itself (see the module docstring). Writing to amplitudes in place
+    guard. The convention is load-bearing: new_register and measure_qubit
+    record which qubits sit in a basis state, which drop_qubit and
+    prepare_bell trust, and a node of a shared run tree memoizes the results
+    of every primitive on itself (see the module docstring). Writing to amplitudes in place
     would leave both stale. A node and every result it hands out are
     read-only and may be handed to many runs, such as a report's final_state.
     """
@@ -153,14 +162,28 @@ class StateVector:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ValueError(f"unknown qubit label {label!r}") from None
+            raise _missing(self.labels, (label,)) from None
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
 
+def _missing(labels: tuple[str, ...], targets: tuple[object, ...]) -> ValueError:
+    """The error for the first of targets that labels.index does not find."""
+    for label in targets:
+        try:
+            labels.index(label)
+        except ValueError:
+            break
+    return ValueError(f"unknown qubit label {label!r}")
+
+
+def _not_a_state(state: object) -> ValueError:
+    return ValueError(f"state must be a StateVector, got {state!r}")
+
+
 def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
-    """Create a register with every qubit in |0>."""
+    """Create a register with every qubit in |0>, and record them there."""
     try:
         labels = tuple(labels)
         distinct = len(set(labels)) == len(labels)
@@ -174,7 +197,9 @@ def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
         raise ValueError(f"register capped at {MAX_QUBITS} qubits, got {len(labels)}")
     amps = np.zeros(2 ** len(labels), dtype=complex)
     amps[0] = 1.0
-    return StateVector(labels, amps)
+    out = StateVector(labels, amps)
+    out._basis = dict.fromkeys(labels, 0)
+    return out
 
 
 def _readonly(a: np.ndarray | None) -> np.ndarray | None:
@@ -231,9 +256,13 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
     """
     if not isinstance(label, str):
         raise ValueError(f"qubit label must be a str, got {label!r}")
-    if label in state.labels:
+    try:
+        labels, memo = state.labels, state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
+    if label in labels:
         raise ValueError(f"label {label!r} already in register")
-    if len(state.labels) + 1 > MAX_QUBITS:
+    if len(labels) + 1 > MAX_QUBITS:
         raise ValueError(f"register capped at {MAX_QUBITS} qubits")
     vec = amplitudes
     if vec is not _KET0:
@@ -244,7 +273,6 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
         a, b = vec.tolist()
         if abs(a.real) > 2.0 or abs(a.imag) > 2.0 or abs(b.real) > 2.0 or abs(b.imag) > 2.0:
             raise ValueError(f"qubit amplitudes not normalized: a part of ({a}, {b}) exceeds 2")
-    memo = state._memo
     if memo is not None:
         key = ("extend", label, None if vec is _KET0 else vec.tobytes())
         if (hit := _recall(memo, key)) is not None:
@@ -254,7 +282,7 @@ def extend(state: StateVector, label: str, amplitudes: tuple[complex, complex] |
         if not abs(nrm - 1.0) <= 1e-9:  # also rejects NaN and inf
             raise ValueError(f"qubit amplitudes not normalized: |a|^2+|b|^2 = {nrm**2:.3e}")
         vec = vec / nrm
-    out = StateVector(state.labels + (label,), np.multiply.outer(state.amplitudes, vec).reshape(-1))
+    out = StateVector(labels + (label,), np.multiply.outer(state.amplitudes, vec).reshape(-1))
     return out if memo is None else _remember(memo, key, out)
 
 
@@ -295,20 +323,30 @@ def _pair_gather(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_gate(state: StateVector, kind: GateKind, *targets: str) -> StateVector:
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     # Tagged, so no stray kind or targets can spell another primitive's key.
     if memo is not None and (hit := _recall(memo, key := ("gate", kind, targets))) is not None:
         return hit
-    n = len(state.labels)
-    # Arity first: a member lookup on an enum class costs about ten local reads, so each call makes one.
-    if len(targets) == 2 and kind is GateKind.CNOT:
-        amps = state.amplitudes[_cnot_perm(n, state.axis(targets[0]), state.axis(targets[1]))]
-    elif len(targets) == 1 and kind is GateKind.HADAMARD:
-        gather, scatter = _pair_gather(n, state.axis(targets[0]))
+    labels = state.labels
+    if len(targets) == 2 and kind is _CNOT:
+        try:
+            control, target = labels.index(targets[0]), labels.index(targets[1])
+        except ValueError:
+            raise _missing(labels, targets) from None
+        amps = state.amplitudes[_cnot_perm(len(labels), control, target)]
+    elif len(targets) == 1 and kind is _HADAMARD:
+        try:
+            k = labels.index(targets[0])
+        except ValueError:
+            raise _missing(labels, targets) from None
+        gather, scatter = _pair_gather(len(labels), k)
         amps = np.dot(state.amplitudes[gather].reshape(-1, 2), _HT).reshape(-1)[scatter]
     else:
         raise ValueError(f"a HADAMARD takes 1 label and a CNOT 2, got {kind!r} on {len(targets)}")
-    out = StateVector(state.labels, amps)
+    out = StateVector(labels, amps)
     return out if memo is None else _remember(memo, key, out)
 
 
@@ -317,7 +355,10 @@ def apply_pauli(state: StateVector, op: PauliOp, target: str) -> StateVector:
 
     The identity returns a register that shares the input's amplitudes.
     """
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     if memo is not None and (hit := _recall(memo, key := ("pauli", op, target))) is not None:
         return hit
     k = state.axis(target)
@@ -349,30 +390,45 @@ def prepare_bell(state: StateVector, q1: str, q2: str, label: BellLabel) -> Stat
     Signs follow the fixed convention: psi- = (|01> - |10>)/sqrt(2) and so on,
     with q1 as the more significant ket position. Only the q1 = q2 = 0 slice is
     read; the check bounds what lies outside it to NORM_TOL in probability.
+    The records of q1 and q2, when both exist, decide the check without a scan
+    (see the module docstring), and then the other qubits' records are handed on.
     """
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     if memo is not None and (hit := _recall(memo, key := ("bell", q1, q2, label))) is not None:
         return hit
-    a1, a2 = state.axis(q1), state.axis(q2)
+    labels = state.labels
+    try:
+        a1, a2 = labels.index(q1), labels.index(q2)
+    except ValueError:
+        raise _missing(labels, (q1, q2)) from None
     if a1 == a2:
         raise ValueError("pair members must differ")
-    probs = np.abs(state.tensor()) ** 2
-    mass = probs.take(0, axis=max(a1, a2)).take(0, axis=min(a1, a2)).sum()
-    if abs(mass - 1.0) > NORM_TOL:
+    basis = state._basis or {}
+    # Looked up by the register's own labels: a register with records has hashable ones.
+    bits = (basis.get(labels[a1]), basis.get(labels[a2])) if basis else (None,)
+    if None in bits:
+        basis = {}  # a passing scan bounds the rest to NORM_TOL only, so no record is handed on
+        probs = np.abs(state.tensor()) ** 2
+        mass = probs.take(0, axis=max(a1, a2)).take(0, axis=min(a1, a2)).sum()
+        unpaired = abs(mass - 1.0) > NORM_TOL
+    else:
+        unpaired = bits != (0, 0)
+    if unpaired:
         raise ValueError(f"{q1},{q2} must be unentangled |0> qubits before pairing")
-    lo, hi = sorted((a1, a2))
+    lo, hi = (a1, a2) if a1 < a2 else (a2, a1)
     view = state.amplitudes.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
     try:
         table = _bell_table(label, a1 < a2)
     except TypeError:
         raise ValueError(f"not a BellLabel: {label!r}") from None
-    out = StateVector(state.labels, (view[:, :1, :, :1] * table).reshape(-1))
+    out = StateVector(labels, (view[:, :1, :, :1] * table).reshape(-1))
+    if len(basis) > 2:  # the pair's records and others, which are handed on
+        out._basis = kept = basis.copy()
+        del kept[labels[a1]], kept[labels[a2]]
     return out if memo is None else _remember(memo, key, out)
-
-
-def _split(state: StateVector, k: int) -> np.ndarray:
-    """The (2**k, 2, 2**(n-k-1)) view of the amplitudes; qubit k is the middle axis."""
-    return state.amplitudes.reshape(2**k, 2, -1)
 
 
 def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> tuple[int, StateVector]:
@@ -389,16 +445,26 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
     draw, and return the same branch object, itself a node of the tree. A
     degenerate branch is never stored, so every call that draws it raises.
     """
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     # [clamped P(1), the (2**k, 2, rest) view, branch for outcome 0, branch for outcome 1]
     if memo is not None:
         try:  # _recall, inlined on this hottest hit path
             entry = memo.get(key := ("measure", target))
-        except TypeError:  # an unhashable stray target; state.axis rejects it below
+        except TypeError:  # an unhashable stray target; labels.index rejects it below
             entry = None
     if memo is None or entry is None:
-        view = _split(state, state.axis(target))
-        p1 = float((np.abs(view[:, 1]) ** 2).sum())
+        labels = state.labels
+        try:
+            k = labels.index(target)
+        except ValueError:
+            raise _missing(labels, (target,)) from None
+        view = state.amplitudes.reshape(2**k, 2, -1)
+        probs = np.abs(view[:, 1])
+        # The bits of (np.abs(x) ** 2).sum(), without the operator and method dispatch.
+        p1 = float(np.add.reduce(np.square(probs, out=probs), None))
         entry = [1.0 if p1 > 1.0 - PROB_CLAMP else (0.0 if p1 < PROB_CLAMP else p1), view, None, None]
     try:
         outcome = 1 if rng.random() < entry[0] else 0
@@ -412,7 +478,8 @@ def measure_qubit(state: StateVector, target: str, rng: np.random.Generator) -> 
         if nrm < NORM_TOL:
             raise ValueError(f"projection onto {target}={outcome} left a degenerate state")
         out /= nrm  # the same division as out / nrm, without a second array
-        branch = StateVector(state.labels, _readonly(out).reshape(-1))
+        out.setflags(write=False)
+        branch = StateVector(state.labels, out.reshape(-1))
         if nrm < math.inf:  # else the division may not have kept the zeros zero
             basis = state._basis
             branch._basis = {**basis, target: outcome} if basis else {target: outcome}
@@ -434,14 +501,20 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
     A qubit that sits in a basis state is sliced out; a recorded one without
     any test (see the module docstring).
     """
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     if memo is not None and (hit := _recall(memo, key := ("drop", label))) is not None:
         return hit
     labels = state.labels
     if len(labels) == 1:
         raise ValueError("cannot drop the last qubit of a register")
-    k = state.axis(label)  # before the record lookup, which an unhashable stray would fail
-    view = _split(state, k)
+    try:  # before the record lookup, which an unhashable stray would fail
+        k = labels.index(label)
+    except ValueError:
+        raise _missing(labels, (label,)) from None
+    view = state.amplitudes.reshape(2**k, 2, -1)
     basis = state._basis
     bit = None if basis is None else basis.get(label)
     if bit is None:
@@ -460,16 +533,23 @@ def drop_qubit(state: StateVector, label: str) -> StateVector:
             raise ValueError(f"qubit {label!r} is still entangled (purity {evals[-1]:.6f})")
         rest = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), evecs[:, -1].conj().reshape(2, 1)).reshape(-1)
     out = StateVector(labels[:k] + labels[k + 1 :], rest / _norm(rest))
-    if basis is not None and (kept := {q: b for q, b in basis.items() if q != label}):
-        out._basis = kept
+    if basis is not None:
+        kept = basis.copy()  # cheaper than a comprehension that skips the label
+        kept.pop(label, None)
+        if kept:
+            out._basis = kept
     return out if memo is None else _remember(memo, key, out)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 after aligning b's qubits to a's label order."""
-    if set(a.labels) != set(b.labels):
-        raise ValueError(f"label sets differ: {a.labels} vs {b.labels}")
-    perm = [b.labels.index(l) for l in a.labels]
+    try:
+        la, lb = a.labels, b.labels
+    except AttributeError:
+        raise ValueError(f"fidelity takes two StateVectors, got {a!r} and {b!r}") from None
+    if set(la) != set(lb):
+        raise ValueError(f"label sets differ: {la} vs {lb}")
+    perm = [lb.index(l) for l in la]
     bt = b.tensor().transpose(perm).reshape(-1)
     return float(np.abs(np.vdot(a.amplitudes, bt)) ** 2)
 
@@ -480,24 +560,37 @@ def reduced_density(state: StateVector, keep: tuple[str, ...] | list[str]) -> np
         keep = tuple(keep)
     except TypeError:
         raise ValueError(f"keep must be a sequence of labels, got {keep!r}") from None
-    memo = state._memo
+    try:
+        memo = state._memo
+    except AttributeError:
+        raise _not_a_state(state) from None
     if memo is not None and (hit := _recall(memo, key := ("rho", keep))) is not None:
         return hit
     if not keep:
         raise ValueError("must keep at least one qubit")
-    axes = [state.axis(l) for l in keep]  # before the duplicate test, so unhashable strays fail here
+    labels = state.labels
+    try:  # before the duplicate test, so unhashable strays fail here
+        axes = [labels.index(l) for l in keep]
+    except ValueError:
+        raise _missing(labels, keep) from None
     if len(set(axes)) != len(axes):
         raise ValueError(f"duplicate labels in {keep}")
-    rest = [i for i in range(state.n_qubits) if i not in axes]
-    psi = state.tensor().transpose(axes + rest).reshape(2 ** len(keep), -1)
+    rest = [i for i in range(len(labels)) if i not in axes]
+    psi = state.amplitudes.reshape((2,) * len(labels)).transpose(axes + rest).reshape(2 ** len(keep), -1)
     rho = psi @ psi.conj().T
     return rho if memo is None else _remember(memo, key, rho)
 
 
 def relabel(state: StateVector, old: str, new: str) -> StateVector:
-    """Rename one qubit without touching amplitudes."""
-    if old not in state.labels:
+    """Rename one qubit without touching amplitudes; the new label must be a str, as in extend."""
+    try:
+        labels = state.labels
+    except AttributeError:
+        raise _not_a_state(state) from None
+    if old not in labels:
         raise ValueError(f"unknown qubit label {old!r}")
-    if new in state.labels:
+    if not isinstance(new, str):
+        raise ValueError(f"qubit label must be a str, got {new!r}")
+    if new in labels:
         raise ValueError(f"label {new!r} already in register")
-    return StateVector(tuple(new if l == old else l for l in state.labels), state.amplitudes)
+    return StateVector(tuple(new if l == old else l for l in labels), state.amplitudes)

@@ -82,6 +82,10 @@ class InFlight:
     dest: Party
 
 
+# Frozen, so one marker per destination serves every send.
+_IN_FLIGHT = {party: InFlight(party) for party in Party}
+
+
 class Variant(enum.Enum):
     OP = "op"
     SINGLE_CHANNEL_RESTORE = "single-i"
@@ -98,6 +102,11 @@ _APPROACH_VARIANT = {
     Approach.RESTORE_CHANNEL: Variant.SINGLE_CHANNEL_RESTORE,
     Approach.TRACK_CHANNEL: Variant.SINGLE_CHANNEL_TRACK,
 }
+
+# The members the drivers read on every run, bound once: a member lookup on an
+# enum class costs about ten local reads.
+_ALICE, _BOB = Party.ALICE, Party.BOB
+_OP, _DUAL, _RESTORE = Variant.OP, Variant.TWO_CHANNEL, Approach.RESTORE_CHANNEL
 
 
 @dataclass
@@ -148,6 +157,10 @@ class Custody:
                 raise ProtocolError(f"{party.value} does not hold {label!r}")
 
     def send(self, labels: Iterable[str], sender: Party, dest: Party, ledger: Ledger) -> None:
+        try:
+            flight = _IN_FLIGHT[dest]
+        except (KeyError, TypeError):  # TypeError: an unhashable stray
+            raise ValueError(f"dest must be a Party, got {dest!r}") from None
         labels = tuple(labels)
         for label in labels:
             if self.holder(label) is not sender:
@@ -155,7 +168,7 @@ class Custody:
                     f"{sender.value} cannot send {label!r} held by {self.holder(label)}"
                 )
         for label in labels:
-            self._holders[label] = InFlight(dest)
+            self._holders[label] = flight
         ledger.qubits_transmitted += len(labels)
 
     def deliver(self, labels: Iterable[str], dest: Party) -> None:
@@ -320,8 +333,8 @@ def _alice_measures(
     amplitudes = spec.resolve(rng)
     # Charles is a state-preparation step; his handoff is not a counted transmission.
     state = extend(state, "C", amplitudes)
-    custody.assign("C", Party.ALICE)
-    custody.require(Party.ALICE, ("A", "C"))
+    custody.assign("C", _ALICE)
+    custody.require(_ALICE, ("A", "C"))
     result, state = qnd_bell_measure(state, "A", "C", rng)
     return amplitudes, result, state
 
@@ -361,9 +374,9 @@ def run_op_baseline(
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
-    state = prepare_bell(_start(input_spec, Variant.OP, channel, ("A", "B")), "A", "B", channel)
+    state = prepare_bell(_start(input_spec, _OP, channel, ("A", "B")), "A", "B", channel)
     ledger.epr_pairs_created += 1
-    custody = Custody({"A": Party.ALICE, "B": Party.BOB})
+    custody = Custody({"A": _ALICE, "B": _BOB})
 
     amplitudes, result, state = _alice_measures(state, custody, input_spec, rng)
     state = _destructive_readout(state, custody, rng)
@@ -373,7 +386,7 @@ def run_op_baseline(
 
     return RunReport(
         run_index=run_index,
-        variant=Variant.OP,
+        variant=_OP,
         channel_before=channel,
         alice_result=result,
         correction=correction,
@@ -415,7 +428,7 @@ def run_single_channel_aqt(
 
     state = prepare_bell(new_register(("A", "B")), "A", "B", initial_channel)
     ledger.epr_pairs_created += 1
-    custody = Custody({"A": Party.ALICE, "B": Party.BOB})
+    custody = Custody({"A": _ALICE, "B": _BOB})
 
     channel = initial_channel
     reports: list[RunReport] = []
@@ -423,10 +436,10 @@ def run_single_channel_aqt(
     for i, spec in enumerate(inputs):
         amplitudes, result, state = _alice_measures(state, custody, spec, rng)
 
-        custody.send(("A", "C"), Party.ALICE, Party.BOB, ledger)
+        custody.send(("A", "C"), _ALICE, _BOB, ledger)
         if pair_interceptor is not None:
             state = pair_interceptor(state, custody, "A", "C", rng)
-        custody.deliver(("A", "C"), Party.BOB)
+        custody.deliver(("A", "C"), _BOB)
 
         bob_result, state = qnd_bell_measure(state, "A", "C", rng)
         if bob_result is not result:
@@ -436,14 +449,14 @@ def run_single_channel_aqt(
 
         correction, state, fid = _bob_corrects(state, channel, result, amplitudes)
 
-        if approach is Approach.RESTORE_CHANNEL:
+        if approach is _RESTORE:
             state = apply_pauli(state, CORRECTIONS[result, initial_channel], "A")
             channel_after = initial_channel
         else:
             channel_after = result
 
-        custody.send(("A",), Party.BOB, Party.ALICE, ledger)
-        custody.deliver(("A",), Party.ALICE)
+        custody.send(("A",), _BOB, _ALICE, ledger)
+        custody.deliver(("A",), _ALICE)
 
         state = relabel(state, "B", "out")
         custody.rename("B", "out")
@@ -493,24 +506,22 @@ def run_two_channel_aqt(
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
-    state = _start(input_spec, Variant.TWO_CHANNEL, teleport_channel, ("A", "B", "MA", "MB"))
+    state = _start(input_spec, _DUAL, teleport_channel, ("A", "B", "MA", "MB"))
     state = prepare_bell(state, "A", "B", teleport_channel)
     state = prepare_bell(state, "MA", "MB", MESSAGE_CHANNEL)
     ledger.epr_pairs_created += 2
-    custody = Custody(
-        {"A": Party.ALICE, "B": Party.BOB, "MA": Party.ALICE, "MB": Party.BOB}
-    )
+    custody = Custody({"A": _ALICE, "B": _BOB, "MA": _ALICE, "MB": _BOB})
 
     amplitudes, result, state = _alice_measures(state, custody, input_spec, rng)
     state = _destructive_readout(state, custody, rng)
 
     message = label_to_message(result)
     state = apply_pauli(state, SUPERDENSE_ENCODING[message], "MA")
-    custody.send(("MA",), Party.ALICE, Party.BOB, ledger)
+    custody.send(("MA",), _ALICE, _BOB, ledger)
     if message_interceptor is not None:
         message_interceptor(state, custody, "MA")
         return None
-    custody.deliver(("MA",), Party.BOB)
+    custody.deliver(("MA",), _BOB)
 
     decoded, state = decode_superdense(state, "MA", "MB", rng)
     state = drop_qubit(state, "MA")
@@ -524,7 +535,7 @@ def run_two_channel_aqt(
 
     return RunReport(
         run_index=run_index,
-        variant=Variant.TWO_CHANNEL,
+        variant=_DUAL,
         channel_before=teleport_channel,
         alice_result=result,
         correction=correction,

@@ -232,3 +232,52 @@ class TestMessageAttack:
         monkeypatch.setattr(adversary, "run_two_channel_aqt", lambda *args, **kwargs: None)
         with pytest.raises(ProtocolError, match="did not capture"):
             message_interception_report(InputSpec.haar(), BellLabel.PSI_MINUS, seeded(76))
+
+
+class TestKernelAtTheBoundary:
+    """The analyses hand reduced_density outputs straight to trace_distance's
+    eigvalsh kernel; each kernel result equals public trace_distance, with its
+    checks, on the same matrices, bit for bit."""
+
+    @pytest.fixture
+    def kernel_results(self, monkeypatch):
+        results = []
+        kernel = adversary._half_trace_norm
+
+        def spy(diff):
+            results.append(kernel(diff))
+            return results[-1]
+
+        monkeypatch.setattr(adversary, "_half_trace_norm", spy)
+        return results
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_pair_analysis(self, monkeypatch, kernel_results, approach):
+        observers = []
+
+        class Recording(PairObserver):
+            def __init__(self):
+                super().__init__()
+                observers.append(self)
+
+        monkeypatch.setattr(adversary, "PairObserver", Recording)
+        inputs = (InputSpec.haar(), InputSpec.explicit(0.6, 0.8j))
+        pair_interception_analysis(*inputs, approach, BellLabel.PHI_MINUS, seed=3, runs=12)
+        got = list(kernel_results)  # before trace_distance adds its own kernel calls
+        a, b = observers
+        want = [trace_distance(x, y) for x, y in zip(a.pair_states, b.pair_states)]
+        assert len(got) == 12 and np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_message_report(self, monkeypatch, kernel_results):
+        captured = []
+
+        def recording(state, keep):
+            captured.append(reduced_density(state, keep))
+            return captured[-1]
+
+        monkeypatch.setattr(adversary, "reduced_density", recording)
+        leaks = [message_interception_report(InputSpec.haar(), channel, seeded(80, i)) for i, channel in enumerate(BELL_ORDER)]
+        got = list(kernel_results)
+        want = [trace_distance(rho, MAXIMALLY_MIXED) for rho in captured]
+        assert len(got) == 4 and np.array(got).tobytes() == np.array(want).tobytes()
+        assert [leak.distinguishability for leak in leaks] == got

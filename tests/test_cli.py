@@ -641,3 +641,23 @@ def test_main_simulates_exactly_or_exits_two(input_text, seed, channel, variant,
         assert code == 2 and out.getvalue() == ""
         errors = [l for l in err.getvalue().splitlines() if l.startswith("teleportsim: error:")]
         assert len(errors) == 1 and "Traceback" not in err.getvalue()
+
+
+@given(seed=st.integers(0, 2**64), run_index=st.integers(0, cli.MAX_RUNS))
+@example(seed=2**32 - 1, run_index=cli.MAX_RUNS)
+@example(seed=2**32, run_index=0)
+@example(seed=2**64, run_index=1)
+def test_per_run_generators_draw_as_list_seeded_ones(seed, run_index):
+    """Below 2**32 the two seeds go in as a uint32 array, above it as a list; the
+    draws are those of a generator seeded with the list either way."""
+    want = np.random.default_rng(np.random.SeedSequence([seed, run_index]))
+    assert np.array_equal(cli._per_run_rng(seed, run_index).random(8), want.random(8))
+
+
+def test_importing_the_cli_leaves_verification_and_the_oracle_unloaded():
+    """Only verify needs them, so run and tables do not compile them in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, teleportsim.cli; print(sorted(set(sys.modules) & {'teleportsim.verification', 'teleportsim.oracle'}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -329,6 +329,12 @@ class TestRegisterEditing:
         with pytest.raises(ValueError, match="already"):
             relabel(state, "A", "B")
 
+    @pytest.mark.parametrize("bad", [1, 1.0, True, None, ("B",), ["B"]])
+    def test_relabel_takes_only_str_labels(self, bad):
+        # True would be found by labels.index(1): the key confusion extend's rule prevents.
+        with pytest.raises(ValueError, match="must be a str"):
+            relabel(new_register(("A", "B")), "B", bad)
+
 
 class TestPhaseNormalization:
     def test_leading_amplitude_made_real_positive(self):

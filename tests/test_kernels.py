@@ -34,6 +34,7 @@ from teleportsim.core import (
     drop_qubit,
     extend,
     measure_qubit,
+    new_register,
     prepare_bell,
     reduced_density,
     relabel,
@@ -453,6 +454,16 @@ def assert_drop_matches_old(state, label):
     assert drop_bits(drop_qubit, state, label) == drop_bits(old_drop_qubit, state, label)
 
 
+def assert_records_hold(state):
+    """Every recorded qubit sits in its recorded bit with an exactly zero other
+    half, and dropping it equals the old search byte for byte."""
+    for label, bit in (state._basis or {}).items():
+        view = state.amplitudes.reshape(2 ** state.labels.index(label), 2, -1)
+        assert not view[:, 1 - bit].any()
+        if len(state.labels) > 1:
+            assert_drop_matches_old(state, label)
+
+
 # One step of a walk: measure the qubit at an index, or drop the recorded qubit at an index.
 STEPS = st.lists(st.tuples(st.sampled_from(["measure", "drop"]), st.integers(0, 6)), min_size=1, max_size=10)
 
@@ -480,11 +491,47 @@ def test_recorded_drops_match_old_drop(n, seed, sparse, draw_seed, steps):
             state = drop_qubit(state, label)
             del want[label]
         assert (state._basis or {}) == want
-        for label, bit in want.items():
-            view = state.amplitudes.reshape(2 ** state.labels.index(label), 2, -1)
-            assert not view[:, 1 - bit].any()
-            if len(state.labels) > 1:
-                assert_drop_matches_old(state, label)
+        assert_records_hold(state)
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS)
+def test_new_registers_record_every_qubit_in_zero(n):
+    state = new_register(labels_for(n))
+    assert state._basis == dict.fromkeys(state.labels, 0)
+    assert_records_hold(state)
+
+
+def bell_bits(state, q1, q2, label):
+    """prepare_bell's result as comparable bytes, or the type and message of what it raised."""
+    try:
+        out = prepare_bell(state, q1, q2, label)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return out.labels, out.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
+@given(seed=SEEDS, sparse=st.booleans(), draws=st.lists(st.sampled_from([0.0, 0.5, 0.99]), min_size=3, max_size=3))
+def test_prepare_bell_on_records_matches_the_scan(n, seed, sparse, draws):
+    """On two qubits recorded by measurements, prepare_bell returns the bytes its
+    scan gives on an unrecorded copy, or raises the scan's ValueError when one
+    sits in |1>. It hands on the other qubits' records, which hold."""
+    state = random_state(n, seed, sparse)
+    for label, draw in zip(state.labels, draws):
+        try:
+            _, state = measure_qubit(state, label, FixedDraw(draw))
+        except ValueError:
+            return
+    fresh = StateVector(state.labels, state.amplitudes.copy())
+    q1, q2 = state.labels[:2]
+    for a, b in ((q1, q2), (q2, q1)):
+        for label in BellLabel:
+            got = bell_bits(state, a, b, label)
+            assert got == bell_bits(fresh, a, b, label)
+            if got[0] is not ValueError:
+                out = prepare_bell(state, a, b, label)
+                assert (out._basis or {}) == {q: bit for q, bit in state._basis.items() if q not in (a, b)}
+                assert_records_hold(out)
 
 
 @pytest.mark.parametrize("n", QUBIT_COUNTS[1:])
@@ -517,9 +564,11 @@ def test_rho_first_decision_matches_old_check_order(n, seed, residue):
 
 @pytest.mark.parametrize("n", QUBIT_COUNTS[1:4])
 @given(seed=SEEDS, sparse=st.booleans())
-def test_only_measurements_and_drops_make_records(n, seed, sparse):
+def test_only_registers_measurements_drops_and_recorded_pairs_make_records(n, seed, sparse):
     """Every other primitive returns a state without records, even from a
-    recorded one: its amplitudes no longer keep the recorded zeros."""
+    recorded one: its amplitudes no longer keep the recorded zeros. So does
+    prepare_bell on a pair it had to scan, since a passing scan bounds the rest
+    only to NORM_TOL, even when other qubits have records."""
     state = random_state(n, seed, sparse)
     for label in state.labels:
         try:
@@ -533,6 +582,12 @@ def test_only_measurements_and_drops_make_records(n, seed, sparse):
     results += [relabel(state, q, "renamed"), dataclasses.replace(state)]
     results += [dataclasses.replace(state, amplitudes=state.amplitudes.copy())]
     results += [prepare_bell(extend(extend(state, "P"), "Q"), "P", "Q", label) for label in BellLabel]
+    # P, R and S recorded, Q not: the pair is scanned.
+    pair = StateVector(("P", "Q", "R", "S"), np.eye(16, dtype=complex)[0])
+    for label in ("P", "R", "S"):
+        _, pair = measure_qubit(pair, label, FixedDraw(0.5))
+    assert pair._basis == {"P": 0, "R": 0, "S": 0}
+    results += [prepare_bell(pair, "P", "Q", label) for label in BellLabel]
     if n > 1:
         results += [apply_gate(state, GateKind.CNOT, q, state.labels[1])]
     for out in results:

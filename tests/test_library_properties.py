@@ -15,7 +15,8 @@ as a complex); the single-channel drivers stray input sequences; the
 measurements and the three drivers stray generators, and the drivers stray
 inputs, ledgers and run indices; and the leakage metrics
 ``trace_distance`` and ``total_variation`` stray matrices, non-Hermitian
-differences included, and distributions. Any other exception, or any numpy RuntimeWarning, fails the
+differences included, and distributions; and every core and Bell-layer
+primitive and ``fidelity`` stray states. Any other exception, or any numpy RuntimeWarning, fails the
 property. A QND measurement of a qubit with itself or of a stray label is
 rejected before any draw, and stray arguments fail on a node of a shared run
 tree exactly as on an unshared copy of it.
@@ -61,10 +62,12 @@ from teleportsim.core import (
     apply_pauli,
     drop_qubit,
     extend,
+    fidelity,
     measure_qubit,
     new_register,
     prepare_bell,
     reduced_density,
+    relabel,
 )
 from teleportsim.protocol import (
     Approach,
@@ -288,6 +291,40 @@ def test_trace_distance_takes_differences_hermitian_within_1e_12():
         # A diagonal entry is its own mirror: 2 * |its imaginary part| counts.
         diagonal = np.diag([0.5 + abs(entry) * 1j, 0.5])
         assert (_strict(trace_distance, diagonal, MAXIMALLY_MIXED) is not None) == ok
+
+
+# Every primitive that takes a state, with arguments that suit _REGISTER.
+_REGISTER = ("A", "B", "D", "E")
+_STATE_CALLS = (
+    (extend, "C"),
+    (apply_gate, GateKind.HADAMARD, "A"),
+    (apply_gate, GateKind.CNOT, "A", "B"),
+    (apply_pauli, PauliOp.X, "A"),
+    (prepare_bell, "A", "B", BellLabel.PSI_MINUS),
+    (measure_qubit, "A", np.random.default_rng(0)),
+    (drop_qubit, "A"),
+    (reduced_density, ("A",)),
+    (relabel, "A", "Z"),
+    (apply_qnd_circuit, "A", "B", "D", "E"),
+    (qnd_bell_measure, "A", "B", np.random.default_rng(0)),
+    (syndrome_probabilities, "A", "B"),
+    (decode_superdense, "A", "B", np.random.default_rng(0)),
+)
+
+
+@given(stray=_STRAYS)
+@example(stray=None)
+@example(stray="AB")
+@example(stray=np.zeros(4))
+@example(stray=[1.0, 0.0])
+def test_strays_are_no_states(stray):
+    """A stray state raises ValueError in every core and Bell-layer primitive and
+    in either argument of fidelity; a register gets a result from each."""
+    for fn, *args in _STATE_CALLS:
+        assert _strict(fn, stray, *args) is None, fn.__name__
+        assert _strict(fn, new_register(_REGISTER), *args) is not None, fn.__name__
+    assert _strict(fidelity, stray, new_register(_REGISTER)) is None
+    assert _strict(fidelity, new_register(_REGISTER), stray) is None
 
 
 @given(stray=_STRAYS)

@@ -226,6 +226,14 @@ class TestCustody:
         assert custody.holder("A") is Party.BOB
         assert ledger.qubits_transmitted == 1
 
+    @pytest.mark.parametrize("bad", [None, "bob", ["bob"], Party, InFlight(Party.BOB)])
+    def test_send_takes_only_party_destinations(self, bad):
+        custody = Custody({"A": Party.ALICE})
+        ledger = Ledger()
+        with pytest.raises(ValueError, match="dest must be a Party"):
+            custody.send(("A",), Party.ALICE, bad, ledger)
+        assert custody.holder("A") is Party.ALICE and ledger == Ledger()
+
     def test_send_and_deliver_accept_one_shot_iterables(self):
         custody = Custody({"A": Party.ALICE, "C": Party.ALICE})
         ledger = Ledger()
