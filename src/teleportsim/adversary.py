@@ -149,7 +149,10 @@ def pair_interception_analysis(
     regardless of input and the forwarded pair is a bare Bell state.
 
     An explicit spec streams as it is, so its replay is the seeded experiment
-    itself. A Haar spec is resolved before the replay, on a generator seeded
+    itself. The spec keeps the registers its streams share (see protocol),
+    so a replay after the printed stream continues from the nodes that
+    stream made: the same calls and draws, with few results computed anew.
+    A Haar spec is resolved before the replay, on a generator seeded
     (seed, 1), apart from the protocol stream. Both replays therefore consume
     identical protocol draws whether a spec is explicit or random, which
     keeps the comparison controlled: any difference Eve sees would have to

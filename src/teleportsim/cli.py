@@ -68,7 +68,12 @@ class EveMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What a run experiment simulates: exactly the report's config section."""
+    """What a run experiment simulates: exactly the report's config section.
+
+    A config run_experiment cannot simulate raises a one-line ValueError; the
+    range and Eve messages name the `teleportsim run` options, so parse_config
+    hands them to the parser as they are.
+    """
 
     variant: Variant
     runs: int
@@ -76,6 +81,24 @@ class ExperimentConfig:
     input_spec: InputSpec
     seed: int
     eve: EveMode
+
+    def __post_init__(self) -> None:
+        for name, kind in (("variant", Variant), ("channel", BellLabel), ("input_spec", InputSpec), ("eve", EveMode)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be an instance of {kind.__name__}, got {value!r}")
+        for name in ("runs", "seed"):
+            if not isinstance(value := getattr(self, name), int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int and no bool, got {value!r}")
+        if self.runs < 1:
+            raise ValueError("--runs must be at least 1")
+        if self.runs > MAX_RUNS:
+            raise ValueError(f"--runs must be at most {MAX_RUNS}")
+        if self.seed < 0:
+            raise ValueError("--seed must be nonnegative")
+        if self.eve is EveMode.PAIR and self.variant not in _SINGLE_CHANNEL:
+            raise ValueError("--eve pair only applies to the single-channel variants")
+        if self.eve is EveMode.QUBIT and self.variant is not Variant.TWO_CHANNEL:
+            raise ValueError("--eve qubit only applies to the dual variant")
 
 
 @dataclass
@@ -365,27 +388,18 @@ def _parse_input(parser: argparse.ArgumentParser, text: str) -> InputSpec:
 
 
 def parse_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentConfig:
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    if args.runs > MAX_RUNS:
-        parser.error(f"--runs must be at most {MAX_RUNS}")
-    if args.seed < 0:
-        parser.error("--seed must be nonnegative")
-    variant = Variant(args.variant)
-    eve = EveMode(args.eve)
-    if eve is EveMode.PAIR and variant not in _SINGLE_CHANNEL:
-        parser.error("--eve pair only applies to the single-channel variants")
-    if eve is EveMode.QUBIT and variant is not Variant.TWO_CHANNEL:
-        parser.error("--eve qubit only applies to the dual variant")
     spec = _parse_input(parser, args.input) if args.input is not None else InputSpec.haar()
-    return ExperimentConfig(
-        variant=variant,
-        runs=args.runs,
-        channel=BellLabel(args.channel),
-        input_spec=spec,
-        seed=args.seed,
-        eve=eve,
-    )
+    try:
+        return ExperimentConfig(
+            variant=Variant(args.variant),
+            runs=args.runs,
+            channel=BellLabel(args.channel),
+            input_spec=spec,
+            seed=args.seed,
+            eve=EveMode(args.eve),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:

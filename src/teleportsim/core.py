@@ -60,10 +60,10 @@ returns the same object. Every call still happens and every draw is still
 taken; only the arithmetic of a repeated call is skipped. A failing call
 stores nothing, and an unhashable stray argument bypasses the memo, so errors
 are those of an unshared state. This relies on StateVector being immutable:
-nothing may write to a register's amplitudes in place. protocol roots one
-tree per explicit input, variant and channel, and makes a node of each
-register a single-channel stream of explicit inputs revisits; every other
-state has no memo, pays one attribute load per call and keeps nothing.
+nothing may write to a register's amplitudes in place. protocol gives each
+explicit input one table of shared registers: a tree root per register
+labels, and each register the input's single-channel streams revisit; every
+other state has no memo, pays one attribute load per call and keeps nothing.
 """
 from __future__ import annotations
 
@@ -183,7 +183,8 @@ def _not_a_state(state: object) -> ValueError:
 
 
 def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
-    """Create a register with every qubit in |0>, and record them there."""
+    """Create a register with every qubit in |0>, and record them there. Labels
+    must be str, as in extend."""
     try:
         labels = tuple(labels)
         distinct = len(set(labels)) == len(labels)
@@ -191,6 +192,11 @@ def new_register(labels: tuple[str, ...] | list[str]) -> StateVector:
         raise ValueError(f"register labels must be a sequence of hashable labels, got {labels!r}") from None
     if not labels:
         raise ValueError("register needs at least one qubit")
+    try:
+        "".join(labels)  # the cheapest test that every label is a str
+    except TypeError:
+        stray = next(label for label in labels if not isinstance(label, str))
+        raise ValueError(f"qubit label must be a str, got {stray!r}") from None
     if not distinct:
         raise ValueError(f"duplicate qubit labels in {labels}")
     if len(labels) > MAX_QUBITS:

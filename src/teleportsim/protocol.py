@@ -16,22 +16,12 @@ All randomness flows through the numpy Generator handed in; a run consumes
 draws only for Haar input sampling and projective measurements, in a fixed
 order, so seeded runs replay exactly.
 
-Independent runs of one explicit input share one run tree. Every baseline or
-two-channel run of an explicit InputSpec evolves the same state until its
-first measurement, and only a few measurement paths exist after it. So such a
-run starts from a register kept on the InputSpec instance, one per variant
-and channel, and the core primitives memoize each branch on it (see core):
-the first run that reaches a branch computes it, later runs make the same
-calls and draws and get the same read-only states back. A report's
-final_state may then be shared by many runs. Haar inputs never repeat a
-state, so they start from a fresh register.
-
-A single-channel stream carries its register from run to run, so it has no
-common root, but a stream of one explicit input cycles through a few
-registers. Such a stream shares exactly the registers it revisits: from the
-second sight of a register on, it continues from one shared node, whose memo
-answers the next run's primitive calls (see _revisit). A Haar stream shares
-nothing.
+Runs of one explicit input share registers: its baseline and two-channel
+runs evolve one state until the first measurement, and its single-channel
+streams cycle through a few registers. So an explicit InputSpec keeps one
+table of them, on whose registers the core primitives memoize each branch
+(see _registers and core), and a report's final_state may be shared by many
+runs, read-only. A Haar input never repeats a state, so it keeps no table.
 """
 from __future__ import annotations
 
@@ -129,16 +119,28 @@ class Ledger:
         )
 
 
+def _check_party(role: str, party: object) -> None:
+    """ValueError unless party is a Party. Party has members, so it has no
+    subclasses and a class test is exact."""
+    if party.__class__ is not Party:
+        raise ValueError(f"{role} must be a Party, got {party!r}")
+
+
 class Custody:
     """Who currently holds each labeled qubit.
 
     Every label in the register has exactly one custodian; transmission is a
     two-step send/deliver so an eavesdropper can act while a qubit is in
-    flight.
+    flight. A party argument that is no Party raises ValueError: the
+    constructor and assign check it, and send, deliver and require check it
+    only once a label fails, so a passing call pays nothing.
     """
 
     def __init__(self, holders: dict[str, Party] | None = None) -> None:
         self._holders: dict[str, Party | InFlight] = dict(holders or {})
+        for label, party in self._holders.items():
+            if party.__class__ is not Party:  # _check_party's test, inlined on this per-run path
+                _check_party(f"the custodian of {label!r}", party)
 
     def holder(self, label: str) -> Party | InFlight:
         try:
@@ -147,6 +149,7 @@ class Custody:
             raise ValueError(f"no custody record for {label!r}") from None
 
     def assign(self, label: str, party: Party) -> None:
+        _check_party("party", party)
         if label in self._holders:
             raise ValueError(f"{label!r} already has a custodian")
         self._holders[label] = party
@@ -154,6 +157,7 @@ class Custody:
     def require(self, party: Party, labels: Iterable[str]) -> None:
         for label in labels:
             if self.holder(label) is not party:
+                _check_party("party", party)
                 raise ProtocolError(f"{party.value} does not hold {label!r}")
 
     def send(self, labels: Iterable[str], sender: Party, dest: Party, ledger: Ledger) -> None:
@@ -164,6 +168,7 @@ class Custody:
         labels = tuple(labels)
         for label in labels:
             if self.holder(label) is not sender:
+                _check_party("sender", sender)
                 raise ProtocolError(
                     f"{sender.value} cannot send {label!r} held by {self.holder(label)}"
                 )
@@ -176,6 +181,7 @@ class Custody:
         for label in labels:
             holder = self.holder(label)
             if not isinstance(holder, InFlight) or holder.dest is not dest:
+                _check_party("dest", dest)
                 raise ProtocolError(f"{label!r} is not in flight toward {dest.value}")
         for label in labels:
             self._holders[label] = dest
@@ -261,48 +267,51 @@ class RunReport:
     final_state: StateVector | None = field(default=None, repr=False, compare=False)
 
 
-def _start(spec: InputSpec, variant: Variant, channel: BellLabel, labels: tuple[str, ...]) -> StateVector:
-    """The empty register an independent run starts from.
-
-    For an explicit input it is the root of the run tree of (variant, channel),
-    kept in the spec's __dict__ outside the dataclass fields, so the tree lives
-    as long as the spec and eq, repr and replace never see it. Haar inputs,
-    stand-in specs and stray channels get a fresh register, and the run's own
-    checks reject the strays as before.
-    """
-    if not isinstance(spec, InputSpec) or spec.random or not isinstance(channel, BellLabel):
-        return new_register(labels)
-    roots = spec.__dict__.setdefault("_roots", {})
-    root = roots.get((variant, channel))
-    if root is None:
-        root = roots[variant, channel] = _shared(new_register(labels))
-    return root
-
-
-# A stream's revisit table holds at most this many registers. Streams of one
-# explicit input reached 4 to 65 distinct registers in 2000 runs.
+# A spec's table records no new stream register once it holds this many keys;
+# explicit streams reached 4 to 65 distinct registers in 2000 runs.
 _STREAM_KEYS = 1024
 
 
-def _revisit(seen: dict[tuple[tuple[str, ...], bytes], StateVector | None], state: StateVector) -> StateVector:
-    """The register a stream continues from after a run of an explicit input.
+def _registers(spec: object) -> dict | None:
+    """The table of registers an explicit spec's runs share, kept in its __dict__
+    outside the dataclass fields, so it lives as long as the spec and eq, repr
+    and replace never see it; None for a Haar input or a stand-in.
 
-    Registers are told apart by their labels and amplitude bytes, so 0.0 and
-    -0.0 differ. The register comes from relabel, which keeps no basis
-    records, so the key determines it. The first sight of a register records
-    its key, the second makes that register a node of a shared run tree, and
-    every later sight continues from the node, whose memo then answers the
-    run's repeated primitive calls. A register seen once keeps nothing but
-    its key, and at _STREAM_KEYS keys no new one is recorded.
+    Under an empty register's labels it holds the root of a run tree, made on
+    first use: op and dual differ in labels, and channels branch at
+    prepare_bell's memo key. Under labels and amplitude bytes (so 0.0 and -0.0
+    differ) it holds a register a stream reached, which relabel made without
+    basis records, so the key determines it. The first sight records the key,
+    the second makes the register a shared node, and every later sight
+    continues from that node, whose memo answers the run's repeated primitive
+    calls. At _STREAM_KEYS keys no new register key is recorded.
     """
-    key = (state.labels, state.amplitudes.tobytes())
-    node = seen.get(key)
-    if node is not None:
-        return node
-    if key in seen:
-        seen[key] = _shared(state)
-    elif len(seen) < _STREAM_KEYS:
-        seen[key] = None
+    if isinstance(spec, InputSpec) and not spec.random:
+        return spec.__dict__.setdefault("_registers", {})
+    return None
+
+
+def _start(spec: InputSpec, labels: tuple[str, ...]) -> StateVector:
+    """The empty register an independent run starts from: its run tree's root, or a fresh register."""
+    table = _registers(spec)
+    if table is None:
+        return new_register(labels)
+    if (root := table.get(labels)) is None:
+        root = table[labels] = _shared(new_register(labels))
+    return root
+
+
+def _revisit(spec: InputSpec, state: StateVector) -> StateVector:
+    """The register a stream continues from after a run of spec."""
+    table = _registers(spec)
+    if table is not None:
+        key = (state.labels, state.amplitudes.tobytes())
+        if (node := table.get(key)) is not None:
+            return node
+        if key in table:
+            table[key] = _shared(state)
+        elif len(table) < _STREAM_KEYS:
+            table[key] = None
     return state
 
 
@@ -310,11 +319,14 @@ PairInterceptor = Callable[[StateVector, Custody, str, str, np.random.Generator]
 MessageInterceptor = Callable[[StateVector, Custody, str], None]
 
 
-def _check_args(specs: Iterable[object], rng: object, ledger: object, run_index: object = 0) -> None:
-    """Before a run changes its ledger, a state or its generator; stand-ins are taken by their methods."""
+def _check_args(specs: Iterable[object], channel: object, rng: object, ledger: object, run_index: object = 0) -> None:
+    """Before a run changes its ledger, a state, its generator or a spec's table;
+    stand-ins are taken by their methods."""
     for spec in specs:
         if not callable(getattr(spec, "resolve", None)):
             raise ValueError(f"input must be an InputSpec, got {spec!r}")
+    if not isinstance(channel, BellLabel):
+        raise ValueError(f"not a BellLabel: {channel!r}")
     if not (callable(getattr(rng, "random", None)) and callable(getattr(rng, "uniform", None))):
         raise ValueError(f"rng must be a numpy Generator or have random and uniform methods, got {rng!r}")
     if ledger is not None and not isinstance(ledger, Ledger):
@@ -370,11 +382,11 @@ def run_op_baseline(
     run_index: int = 0,
 ) -> RunReport:
     """One run of the baseline protocol: destroy the pair, send two bits."""
-    _check_args((input_spec,), rng, ledger, run_index)
+    _check_args((input_spec,), channel, rng, ledger, run_index)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
-    state = prepare_bell(_start(input_spec, _OP, channel, ("A", "B")), "A", "B", channel)
+    state = prepare_bell(_start(input_spec, ("A", "B")), "A", "B", channel)
     ledger.epr_pairs_created += 1
     custody = Custody({"A": _ALICE, "B": _BOB})
 
@@ -421,7 +433,7 @@ def run_single_channel_aqt(
         inputs = list(inputs)
     except TypeError:
         raise ValueError(f"inputs must be a sequence of InputSpecs, got {inputs!r}") from None
-    _check_args(inputs, rng, ledger)
+    _check_args(inputs, initial_channel, rng, ledger)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
     variant = _APPROACH_VARIANT[approach]
@@ -432,7 +444,6 @@ def run_single_channel_aqt(
 
     channel = initial_channel
     reports: list[RunReport] = []
-    seen: dict[tuple[tuple[str, ...], bytes], StateVector | None] = {}
     for i, spec in enumerate(inputs):
         amplitudes, result, state = _alice_measures(state, custody, spec, rng)
 
@@ -462,8 +473,7 @@ def run_single_channel_aqt(
         custody.rename("B", "out")
         state = relabel(state, "C", "B")
         custody.rename("C", "B")
-        if isinstance(spec, InputSpec) and not spec.random:
-            state = _revisit(seen, state)
+        state = _revisit(spec, state)
 
         reports.append(
             RunReport(
@@ -502,11 +512,11 @@ def run_two_channel_aqt(
     if a message interceptor grabs the qubit in flight (that interception is
     destructive, so the run aborts).
     """
-    _check_args((input_spec,), rng, ledger, run_index)
+    _check_args((input_spec,), teleport_channel, rng, ledger, run_index)
     ledger = ledger if ledger is not None else Ledger()
     before = ledger.copy()
 
-    state = _start(input_spec, _DUAL, teleport_channel, ("A", "B", "MA", "MB"))
+    state = _start(input_spec, ("A", "B", "MA", "MB"))
     state = prepare_bell(state, "A", "B", teleport_channel)
     state = prepare_bell(state, "MA", "MB", MESSAGE_CHANNEL)
     ledger.epr_pairs_created += 2

@@ -124,6 +124,60 @@ class TestParsing:
         }
 
 
+_GOOD = dict(variant=Variant.OP, runs=2, channel=BellLabel.PSI_MINUS, input_spec=InputSpec.haar(), seed=0,
+             eve=EveMode.NONE)
+_EVE_RULES = {
+    Variant.OP: {EveMode.NONE},
+    Variant.TWO_CHANNEL: {EveMode.NONE, EveMode.QUBIT},
+    Variant.SINGLE_CHANNEL_RESTORE: {EveMode.NONE, EveMode.PAIR},
+    Variant.SINGLE_CHANNEL_TRACK: {EveMode.NONE, EveMode.PAIR},
+}
+
+
+class TestExperimentConfig:
+    """A library caller gets a config run_experiment simulates, or one ValueError line."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("eve", list(EveMode))
+    def test_eve_applies_only_where_it_can_intercept(self, variant, eve):
+        make = lambda: ExperimentConfig(**{**_GOOD, "variant": variant, "eve": eve})  # noqa: E731
+        if eve in _EVE_RULES[variant]:
+            outcome = run_experiment(make())
+            assert (outcome.eve_reports is not None) == (eve is not EveMode.NONE)
+        else:
+            with pytest.raises(ValueError, match=f"^--eve {eve.value} only applies to the"):
+                make()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("runs", 0, "--runs must be at least 1"),
+            ("runs", -3, "--runs must be at least 1"),
+            ("runs", cli.MAX_RUNS + 1, f"--runs must be at most {cli.MAX_RUNS}"),
+            ("seed", -1, "--seed must be nonnegative"),
+            ("runs", 2.5, "runs must be an int and no bool, got 2.5"),
+            ("runs", True, "runs must be an int and no bool, got True"),
+            ("runs", "2", "runs must be an int and no bool, got '2'"),
+            ("seed", False, "seed must be an int and no bool, got False"),
+            ("seed", np.int64(1), "seed must be an int and no bool, got "),
+            ("variant", "op", "variant must be an instance of Variant, got 'op'"),
+            ("channel", "psi-", "channel must be an instance of BellLabel, got 'psi-'"),
+            ("channel", None, "channel must be an instance of BellLabel, got None"),
+            ("input_spec", (0.6, 0.8), "input_spec must be an instance of InputSpec, got (0.6, 0.8)"),
+            ("eve", "none", "eve must be an instance of EveMode, got 'none'"),
+        ],
+    )
+    def test_strays_raise_one_line(self, field, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(**{**_GOOD, field: value})
+        assert str(excinfo.value).startswith(message)
+        assert "\n" not in str(excinfo.value)
+
+    def test_the_run_range_ends_at_the_cap(self):
+        for runs in (1, cli.MAX_RUNS):
+            assert ExperimentConfig(**{**_GOOD, "runs": runs}).runs == runs
+
+
 class TestRunCommand:
     def test_op_ledger_and_exit_code(self, capsys):
         code = main(

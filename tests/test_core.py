@@ -6,6 +6,7 @@ over 2 * 10^4 seeded draws.
 
 import copy
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestRegisters:
     def test_empty_register_rejected(self):
         with pytest.raises(ValueError):
             new_register(())
+
+    @pytest.mark.parametrize("bad", [1, 1.0, True, None, b"B", ("B",)])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_new_register_takes_only_str_labels(self, bad, position):
+        # (1, "B") once made a register whose qubit 1 measure_qubit(s, True, rng) measured.
+        labels = [bad, "A"] if position == 0 else ["A", bad]
+        with pytest.raises(ValueError, match=f"^qubit label must be a str, got {re.escape(repr(bad))}$"):
+            new_register(labels)
 
     def test_size_cap(self):
         labels = tuple(f"q{i}" for i in range(13))

@@ -24,7 +24,6 @@ from teleportsim.core import BellLabel, new_register, prepare_bell
 from teleportsim.protocol import (
     Approach,
     InputSpec,
-    Variant,
     _start,
     run_op_baseline,
     run_single_channel_aqt,
@@ -90,7 +89,7 @@ def test_qnd_measurement_call_counts(calls, label):
 def test_qnd_measurement_call_counts_on_a_shared_tree(calls, label):
     # Repeated QNDs on one node of a shared tree: from the second on, every
     # call is a memo hit, and each is still made through its public name.
-    root = _start(InputSpec.explicit(0.6, 0.8j), Variant.OP, label, ("A", "B"))
+    root = _start(InputSpec.explicit(0.6, 0.8j), ("A", "B"))
     state = core.extend(prepare_bell(root, "A", "B", label), "C", (0.6, 0.8j))
     calls.clear()
     rng = CountingRng(29)

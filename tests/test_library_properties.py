@@ -1,22 +1,24 @@
 """Library constructors either return a result or raise ValueError.
 
 Hypothesis drives ``InputSpec.explicit`` and ``extend`` over complex floats
-(NaN, infinities, huge values and subnormals included), ``prepare_bell``
-and ``apply_pauli`` over their enum members and stray values such as the
+(NaN, infinities, huge values and subnormals included), ``prepare_bell`` and
+``apply_pauli`` over their enum members and stray values such as the
 members' string values, the other enum, None and unhashable values, the
 single-channel drivers over stray ``approach`` values, and the Bell-layer
 conversions (syndrome bits, two-bit messages, labels) over stray bits,
 indices, labels and messages. ``apply_gate`` gets stray gate kinds and
 targets; ``measure_qubit``, ``drop_qubit``, ``reduced_density``,
-``Custody.holder`` and the QND primitives stray labels; ``new_register``
-stray label sequences; ``InputSpec`` and ``InputSpec.explicit`` stray
-amplitudes (the two agree, and every number type complex() takes is stored
-as a complex); the single-channel drivers stray input sequences; the
-measurements and the three drivers stray generators, and the drivers stray
-inputs, ledgers and run indices; and the leakage metrics
-``trace_distance`` and ``total_variation`` stray matrices, non-Hermitian
-differences included, and distributions; and every core and Bell-layer
-primitive and ``fidelity`` stray states. Any other exception, or any numpy RuntimeWarning, fails the
+``Custody.holder`` and the QND primitives stray labels; ``Custody`` stray
+parties; ``new_register`` stray label sequences and labels that are no str;
+``InputSpec`` and ``InputSpec.explicit`` stray amplitudes (the two agree,
+and every number type complex() takes is stored as a complex); the
+single-channel drivers stray input sequences; the measurements and the three
+drivers stray generators, and the drivers stray channels, inputs, ledgers
+and run indices, none of which may change an explicit spec's table of shared
+registers; and the leakage metrics ``trace_distance`` and
+``total_variation`` stray matrices, non-Hermitian differences included, and
+distributions; and every core and Bell-layer primitive and ``fidelity``
+stray states. Any other exception, or any numpy RuntimeWarning, fails the
 property. A QND measurement of a qubit with itself or of a stray label is
 rejected before any draw, and stray arguments fail on a node of a shared run
 tree exactly as on an unshared copy of it.
@@ -69,6 +71,7 @@ from teleportsim.core import (
     reduced_density,
     relabel,
 )
+from teleportsim import protocol
 from teleportsim.protocol import (
     Approach,
     Custody,
@@ -80,6 +83,7 @@ from teleportsim.protocol import (
     run_two_channel_aqt,
 )
 
+_SPEC_FIELDS = {"alpha", "beta", "random"}
 _PARTS = st.floats() | st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 2.0, 1.0])
 _COMPLEX = st.builds(complex, _PARTS, _PARTS)
 
@@ -343,17 +347,75 @@ def test_strays_are_no_generators(stray):
         assert node._memo == {}
     assert _strict(decode_superdense, state, "A", "B", stray) is None
     assert _strict(qnd_bell_measure, extend(state, "C", (0.6, 0.8j)), "A", "C", stray) is None
-    for spec in (InputSpec.explicit(0.6, 0.8j), InputSpec.haar()):
-        runs = (
-            lambda ledger: run_op_baseline(spec, BellLabel.PSI_MINUS, stray, ledger),
-            lambda ledger: run_two_channel_aqt(spec, BellLabel.PSI_MINUS, stray, ledger),
-            lambda ledger: run_single_channel_aqt([spec], Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, stray, ledger),
-        )
-        for run in runs:
+    _assert_drivers_reject(lambda run, spec, ledger: run(spec, BellLabel.PSI_MINUS, stray, ledger))
+
+
+def _table_snapshot(spec):
+    """What a spec's shared-register table holds, down to each root's memo; None without a table."""
+    table = protocol._registers(spec) if set(vars(spec)) != _SPEC_FIELDS else None
+    return table and {key: (node, node and dict(node._memo)) for key, node in table.items()}
+
+
+def _assert_drivers_reject(call):
+    """call(run, spec, ledger), with run each driver and spec each kind of input,
+    raises ValueError and leaves the ledger and the spec's table as they were."""
+    warm = InputSpec.explicit(0.6, 0.8j)  # a spec whose table holds roots and stream registers
+    run_single_channel_aqt([warm] * 8, Approach.RESTORE_CHANNEL, BellLabel.PSI_MINUS, np.random.default_rng(1))
+    for run in (run_op_baseline, run_two_channel_aqt, _message_interception):
+        run(warm, BellLabel.PSI_MINUS, np.random.default_rng(1), None)
+    drivers = (run_op_baseline, run_two_channel_aqt, _message_interception, _single_channel)
+    for spec in (InputSpec.explicit(0.6, 0.8j), InputSpec.haar(), warm):
+        before = _table_snapshot(spec)
+        for run in drivers:
             ledger = Ledger()
-            assert _strict(run, ledger) is None
+            assert _strict(call, run, spec, ledger) is None
             assert ledger == Ledger()
-        assert "_roots" not in spec.__dict__
+        assert _table_snapshot(spec) == before
+    assert _table_snapshot(warm)
+
+
+def _message_interception(spec, channel, rng, ledger):
+    return message_interception_report(spec, channel, rng, 0, ledger)
+
+
+def _single_channel(spec, channel, rng, ledger):
+    return run_single_channel_aqt([spec], Approach.RESTORE_CHANNEL, channel, rng, ledger)
+
+
+@given(stray=_STRAYS | st.sampled_from(BellLabel))
+@example(stray=None)
+@example(stray="alice")
+def test_custody_takes_only_parties(stray):
+    """A stray party raises ValueError from the constructor, assign, require,
+    send and deliver, and leaves the custody and the ledger as they were."""
+    assert _strict(Custody, {"A": Party.ALICE, "B": stray}) is None
+    custody, ledger = Custody({"A": Party.ALICE}), Ledger()
+    calls = (
+        lambda: custody.assign("B", stray),
+        lambda: custody.require(stray, ("A",)),
+        lambda: custody.send(("A",), stray, Party.BOB, ledger),
+        lambda: custody.send(("A",), Party.ALICE, stray, ledger),
+        lambda: custody.deliver(("A",), stray),
+    )
+    for call in calls:
+        assert _strict(call) is None
+        assert custody.holder("A") is Party.ALICE and ledger == Ledger()
+    assert _strict(custody.holder, "B") is None
+
+
+@given(stray=_STRAYS | st.sampled_from(PauliOp) | st.sampled_from(Approach))
+@example(stray=None)
+@example(stray="psi-")
+def test_strays_are_no_channels(stray):
+    """A stray channel raises ValueError in each driver, and in the pair
+    analysis, before the ledger, the generator or a spec's table changes."""
+    rng = np.random.default_rng(0)
+    untouched = rng.bit_generator.state
+    _assert_drivers_reject(lambda run, spec, ledger: run(spec, stray, rng, ledger))
+    assert rng.bit_generator.state == untouched
+    spec = InputSpec.explicit(0.6, 0.8j)
+    assert _strict(pair_interception_analysis, spec, spec, Approach.TRACK_CHANNEL, stray, 0) is None
+    assert set(vars(spec)) == _SPEC_FIELDS
 
 
 @given(stray=_STRAYS)
@@ -597,10 +659,13 @@ def test_qnd_takes_only_register_labels(stray, position):
 @example(labels=5)
 @example(labels=[["A"]])
 @example(labels=["A", np.zeros(2)])
+@example(labels=(1, "B"))
+@example(labels=["A", True])
 def test_new_register_takes_only_label_sequences(labels):
     state = _strict(new_register, labels)
     if state is not None:
         assert state.labels == tuple(labels) and state.amplitudes[0] == 1.0
+        assert all(isinstance(label, str) for label in state.labels)
 
 
 @pytest.mark.parametrize("label", list(BellLabel))

@@ -242,6 +242,28 @@ class TestCustody:
         assert custody.holder("A") is Party.BOB and custody.holder("C") is Party.BOB
         assert ledger.qubits_transmitted == 2
 
+    @pytest.mark.parametrize("bad", [None, "alice", 0, Party, InFlight(Party.BOB)])
+    def test_party_arguments_take_only_parties(self, bad):
+        with pytest.raises(ValueError, match="^the custodian of 'B' must be a Party, got "):
+            Custody({"A": Party.ALICE, "B": bad})
+        custody, ledger = Custody({"A": Party.ALICE}), Ledger()
+        with pytest.raises(ValueError, match="^party must be a Party, got "):
+            custody.assign("B", bad)
+        with pytest.raises(ValueError, match="^party must be a Party, got "):
+            custody.require(bad, ("A",))
+        with pytest.raises(ValueError, match="^sender must be a Party, got "):
+            custody.send(("A",), bad, Party.BOB, ledger)
+        with pytest.raises(ValueError, match="^dest must be a Party, got "):
+            custody.deliver(("A",), bad)
+        assert custody.holder("A") is Party.ALICE and ledger == Ledger()
+        with pytest.raises(ValueError, match="no custody record"):
+            custody.holder("B")
+        custody.send(("A",), Party.ALICE, Party.BOB, ledger)
+        with pytest.raises(ValueError, match="^dest must be a Party, got "):
+            custody.deliver(("A",), bad)
+        custody.deliver(("A",), Party.BOB)
+        assert custody.holder("A") is Party.BOB
+
     def test_require_flags_wrong_holder(self):
         custody = Custody({"A": Party.BOB})
         with pytest.raises(ProtocolError, match="does not hold"):
